@@ -24,7 +24,6 @@ from .params import (
     params_to_dict,
     r0,
     testing_fraction,
-    validate,
     with_param,
 )
 from .digital import (
@@ -45,9 +44,7 @@ from .digital import (
 from .component import (
     EVENT_CAP,
     ComponentOutcome,
-    ComponentState,
     DeathCause,
-    Estimator,
     EventCapExceeded,
     MatrixEstimate,
     NaiveProductEstimate,

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .component import Estimator, naive_combined_r, r_component_combined
+from .component import naive_combined_r, r_component_combined
 from .digital import (
     DEFAULT_SERIES,
     DivergentSeries,
@@ -85,12 +85,11 @@ class RunConfig:
     params: Params
     seed: int
     workers: int
-    replicates: int
+    replicates: int | None  # None: the sweep's own default
     runs: int
     out: str | None
     fmt: str
     strict: bool
-    estimator: Estimator
     sweep_name: str | None
     sweep_spec_json: str | None
     out_dir: str
@@ -127,7 +126,7 @@ def _build_config(args) -> RunConfig:
     replicates = (
         args.replicates
         if getattr(args, "replicates", None) is not None
-        else cfg.get("replicates", 10**6)
+        else cfg.get("replicates", None if args.command == "sweep" else 10**6)
     )
     runs = args.runs if getattr(args, "runs", None) is not None else cfg.get("runs", 10**4)
     out = getattr(args, "out", None) or cfg.get("out")
@@ -139,12 +138,11 @@ def _build_config(args) -> RunConfig:
         params=params,
         seed=int(seed),
         workers=_resolve_threads(threads),
-        replicates=int(replicates),
+        replicates=None if replicates is None else int(replicates),
         runs=int(runs),
         out=out,
         fmt=fmt,
         strict=bool(getattr(args, "strict", False)),
-        estimator=Estimator(getattr(args, "estimator", None) or "exposure-time"),
         sweep_name=getattr(args, "spec", None),
         sweep_spec_json=sweep_spec_json,
         out_dir=getattr(args, "out_dir", None) or ".",
@@ -224,8 +222,7 @@ def cmd_component_mc(config: RunConfig) -> int:
     p = config.params
     _log(f"[component-mc] estimating with {config.replicates} replicates per root type")
     est = r_component_combined(
-        p, config.replicates, seed=config.seed,
-        estimator=config.estimator, workers=config.workers,
+        p, config.replicates, seed=config.seed, workers=config.workers
     )
     naive = naive_combined_r(
         p, config.replicates, seed=config.seed, workers=config.workers
@@ -234,7 +231,6 @@ def cmd_component_mc(config: RunConfig) -> int:
     report = {
         "params": params_to_dict(p),
         "replicates": config.replicates,
-        "estimator": config.estimator.value,
         "matrix": {
             "mean": [m.mean.m11, m.mean.m12, m.mean.m21, m.mean.m22],
             "se": list(m.se),
@@ -243,7 +239,6 @@ def cmd_component_mc(config: RunConfig) -> int:
             "value": est.value,
             "se": est.se,
             "ci": [est.ci_low, est.ci_high],
-            "bootstrap_ci": list(est.bootstrap_ci),
         },
         "naive_product": {
             "value": naive.value,
@@ -259,8 +254,7 @@ def cmd_component_mc(config: RunConfig) -> int:
         f"matrix se            = [[{m.se[0]:.4f}, {m.se[1]:.4f}],"
         f" [{m.se[2]:.4f}, {m.se[3]:.4f}]]",
         f"R combined           = {est.value:.4f}  (se {est.se:.4f},"
-        f" 95% CI [{est.ci_low:.4f}, {est.ci_high:.4f}],"
-        f" bootstrap [{est.bootstrap_ci[0]:.4f}, {est.bootstrap_ci[1]:.4f}])",
+        f" 95% CI [{est.ci_low:.4f}, {est.ci_high:.4f}])",
         f"independence product = {naive.value:.4f}"
         f"  (95% CI [{naive.ci_low:.4f}, {naive.ci_high:.4f}])",
     ]
@@ -332,9 +326,8 @@ def cmd_sweep(config: RunConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     if config.sweep_name:
         name = config.sweep_name
-        reps = config.replicates if config.replicates != 10**6 else None
         datasets = builtin_datasets(
-            name, seed=config.seed, replicates=reps, workers=config.workers
+            name, seed=config.seed, replicates=config.replicates, workers=config.workers
         )
     elif config.sweep_spec_json:
         spec = spec_from_json(config.sweep_spec_json)
@@ -483,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("component-mc", help="Monte Carlo combined-model estimates")
     _add_common(sp)
     sp.add_argument("--replicates", type=int, help="replicates per root type")
-    sp.add_argument("--estimator", choices=[e.value for e in Estimator])
 
     sp = sub.add_parser("epidemic", help="finite-population outbreak ensemble")
     _add_common(sp)

@@ -16,6 +16,9 @@ while *new* components are born outside it at rate ``l*beta*pi*(1-p)``
 (app-user root) and ``(k+l)*beta*(1-pi)*(1-p)`` (non-app-user root).  These
 birth rates integrate against the state occupation times, so the mean
 offspring matrix has no known closed form and is estimated by simulation.
+The estimator replaces each Poisson birth count by its conditional mean,
+the birth rate times the occupation time (a Rao-Blackwellisation), so only
+the jump chain and its holding times are sampled.
 
 Replicate RNG streams are derived from (seed, root type, replicate index)
 only, which makes every estimate bit-identical regardless of the worker
@@ -28,7 +31,6 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .digital import (
     OffspringMatrix,
     PROV_ESTIMATED,
     SeriesControl,
-    _spectral_radius,
     r_component_digital,
     spectral_radius_2x2,
 )
@@ -48,7 +49,6 @@ from .params import Params, r0
 EVENT_CAP = 10**7
 _CHUNK = 25_000
 _MAX_CAPPED_FRACTION = 0.001
-_BOOT_TAG = 0xB0075
 
 
 class RootType(enum.Enum):
@@ -64,19 +64,6 @@ class DeathCause(enum.Enum):
     EVENT_CAP_HIT = "event-cap-hit"
 
 
-class Estimator(enum.Enum):
-    # DIRECT_COUNT averages sampled birth marks; EXPOSURE_TIME replaces the
-    # Poisson marks by their conditional mean (rate times occupation time),
-    # a Rao-Blackwellisation that lowers variance at identical bias (none).
-    DIRECT_COUNT = "direct-count"
-    EXPOSURE_TIME = "exposure-time"
-
-
-class ComponentState(NamedTuple):
-    k: int
-    l: int
-
-
 class EventCapExceeded(RuntimeError):
     """Too many replicates hit the per-component event cap."""
 
@@ -85,8 +72,6 @@ class EventCapExceeded(RuntimeError):
 class ComponentOutcome:
     """Everything recorded from one simulated component."""
 
-    births_app_root: int
-    births_nonapp_root: int
     jumps: int
     app_exposure: float     # time integral of k
     nonapp_exposure: float  # time integral of l
@@ -102,10 +87,9 @@ def simulate_component(
 ) -> ComponentOutcome:
     """Exact event-driven simulation of one component until it dies out.
 
-    Component-birth marks are recorded by sampling, for every inter-event
-    interval of length tau, Poisson counts with means ``l*beta*pi*(1-p)*tau``
-    and ``(k+l)*beta*(1-pi)*(1-p)*tau``; the occupation times themselves are
-    accumulated for the exposure-time estimator.
+    Births of new components do not change the component, so they are not
+    sampled; the occupation times of k and l, which the offspring means
+    integrate against, are accumulated instead.
     """
     beta, gamma, delta = params.beta, params.gamma, params.delta
     pi, p = params.pi, params.p
@@ -114,14 +98,10 @@ def simulate_component(
     grow_app_k = beta * pi          # per infectious app-user
     grow_app_l = beta * pi * p      # per infectious non-app-user
     grow_non = beta * (1.0 - pi) * p
-    birth_app_rate = beta * pi * (1.0 - p)
-    birth_non_rate = beta * (1.0 - pi) * (1.0 - p)
 
     jumps = 0
     app_exposure = 0.0
     nonapp_exposure = 0.0
-    births_app = 0
-    births_non = 0
     ever_app = k
     cause = DeathCause.ALL_RECOVERED
     uniform = rng.random
@@ -141,12 +121,6 @@ def simulate_component(
         tau = expovariate(total)
         app_exposure += k * tau
         nonapp_exposure += l * tau
-        lam = l * birth_app_rate * tau
-        if lam > 0.0:
-            births_app += _poisson(rng, lam)
-        lam = kl * birth_non_rate * tau
-        if lam > 0.0:
-            births_non += _poisson(rng, lam)
         u = uniform() * total
         jumps += 1
         if u < r_ga:
@@ -163,29 +137,12 @@ def simulate_component(
             l = 0
             cause = DeathCause.DIAGNOSED
     return ComponentOutcome(
-        births_app_root=births_app,
-        births_nonapp_root=births_non,
         jumps=jumps,
         app_exposure=app_exposure,
         nonapp_exposure=nonapp_exposure,
         ever_infected_app=ever_app,
         death_cause=cause,
     )
-
-
-def _poisson(rng: random.Random, lam: float) -> int:
-    # Knuth product-of-uniforms; interval means are O(1) here.  The normal
-    # fallback guards the (astronomically rare) huge-interval draw where
-    # exp(-lam) would underflow.
-    if lam > 700.0:
-        return max(0, round(rng.gauss(lam, math.sqrt(lam))))
-    limit = math.exp(-lam)
-    prod = rng.random()
-    count = 0
-    while prod >= limit:
-        prod *= rng.random()
-        count += 1
-    return count
 
 
 def replicate_seed(seed: int, root: RootType, index: int) -> int:
@@ -225,8 +182,6 @@ class ComponentSamples:
     """Per-replicate records for one root type, in replicate-index order."""
 
     root: RootType
-    births_app: np.ndarray
-    births_nonapp: np.ndarray
     jumps: np.ndarray
     app_exposure: np.ndarray
     nonapp_exposure: np.ndarray
@@ -238,8 +193,6 @@ def _simulate_chunk(args) -> tuple:
     (beta, gamma, delta, pi, p, n), root_value, seed, start, count, cap = args
     params = Params(beta, gamma, delta, pi, p, n)
     root = RootType(root_value)
-    ba = np.empty(count)
-    bn = np.empty(count)
     jumps = np.empty(count)
     ae = np.empty(count)
     ne = np.empty(count)
@@ -248,15 +201,13 @@ def _simulate_chunk(args) -> tuple:
     for i in range(count):
         rng = random.Random(replicate_seed(seed, root, start + i))
         out = simulate_component(root, params, rng, cap)
-        ba[i] = out.births_app_root
-        bn[i] = out.births_nonapp_root
         jumps[i] = out.jumps
         ae[i] = out.app_exposure
         ne[i] = out.nonapp_exposure
         ev[i] = out.ever_infected_app
         if out.death_cause is DeathCause.EVENT_CAP_HIT:
             capped += 1
-    return ba, bn, jumps, ae, ne, ev, capped
+    return jumps, ae, ne, ev, capped
 
 
 def simulate_components(
@@ -288,13 +239,11 @@ def simulate_components(
     parts = map_ordered(_simulate_chunk, tasks, workers)
     return ComponentSamples(
         root=root,
-        births_app=np.concatenate([p[0] for p in parts]),
-        births_nonapp=np.concatenate([p[1] for p in parts]),
-        jumps=np.concatenate([p[2] for p in parts]),
-        app_exposure=np.concatenate([p[3] for p in parts]),
-        nonapp_exposure=np.concatenate([p[4] for p in parts]),
-        ever_infected_app=np.concatenate([p[5] for p in parts]),
-        capped=sum(p[6] for p in parts),
+        jumps=np.concatenate([p[0] for p in parts]),
+        app_exposure=np.concatenate([p[1] for p in parts]),
+        nonapp_exposure=np.concatenate([p[2] for p in parts]),
+        ever_infected_app=np.concatenate([p[3] for p in parts]),
+        capped=sum(p[4] for p in parts),
     )
 
 
@@ -305,17 +254,15 @@ class MatrixEstimate:
     mean: OffspringMatrix
     se: tuple[float, float, float, float]
     replicates: int
-    estimator: Estimator
     # sampling covariance of the two mean estimates within each row (rows are
     # estimated from disjoint replicate sets and are independent)
     row_cov: tuple[float, float]
     capped: int = 0
 
 
-def _row_samples(params: Params, samples: ComponentSamples, estimator: Estimator):
-    """Per-replicate contributions to (m_i1, m_i2) for one root type."""
-    if estimator is Estimator.DIRECT_COUNT:
-        return samples.births_app, samples.births_nonapp
+def _row_samples(params: Params, samples: ComponentSamples):
+    """Per-replicate contributions to (m_i1, m_i2) for one root type: the
+    birth rates of app-user and non-app-user roots times occupation time."""
     to_app = params.beta * params.pi * (1.0 - params.p)
     to_non = params.beta * (1.0 - params.pi) * (1.0 - params.p)
     return (
@@ -326,23 +273,16 @@ def _row_samples(params: Params, samples: ComponentSamples, estimator: Estimator
 
 def _mean_se_cov(x: np.ndarray, y: np.ndarray):
     n = x.size
-    mx, my = float(x.mean()), float(y.mean())
-    if n < 2:
-        return mx, my, 0.0, 0.0, 0.0
-    vx = float(x.var(ddof=1))
-    vy = float(y.var(ddof=1))
-    cxy = float(np.cov(x, y, ddof=1)[0, 1]) if n > 1 else 0.0
-    return mx, my, math.sqrt(vx / n), math.sqrt(vy / n), cxy / n
+    (vx, cxy), (_, vy) = np.cov(x, y, ddof=1)
+    return float(x.mean()), float(y.mean()), math.sqrt(vx / n), math.sqrt(vy / n), float(cxy) / n
 
 
 def estimate_offspring_matrix(
     params: Params,
     replicates: int,
     seed: int,
-    estimator: Estimator = Estimator.EXPOSURE_TIME,
     workers: int = 1,
     cap: int = EVENT_CAP,
-    _samples: tuple[ComponentSamples, ComponentSamples] | None = None,
 ) -> MatrixEstimate:
     """Estimate the combined-model mean offspring matrix.
 
@@ -352,18 +292,15 @@ def estimate_offspring_matrix(
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    if _samples is None:
-        app = simulate_components(params, RootType.APP, replicates, seed, cap, workers)
-        non = simulate_components(params, RootType.NON_APP, replicates, seed, cap, workers)
-    else:
-        app, non = _samples
+    app = simulate_components(params, RootType.APP, replicates, seed, cap, workers)
+    non = simulate_components(params, RootType.NON_APP, replicates, seed, cap, workers)
     capped = app.capped + non.capped
     if capped > _MAX_CAPPED_FRACTION * 2 * replicates:
         raise EventCapExceeded(
             f"{capped} of {2 * replicates} replicates hit the event cap"
         )
-    x11, x12 = _row_samples(params, app, estimator)
-    x21, x22 = _row_samples(params, non, estimator)
+    x11, x12 = _row_samples(params, app)
+    x21, x22 = _row_samples(params, non)
     m11, m12, se11, se12, cov1 = _mean_se_cov(x11, x12)
     m21, m22, se21, se22, cov2 = _mean_se_cov(x21, x22)
     mean = OffspringMatrix(m11, m12, m21, m22, (PROV_ESTIMATED,) * 4)
@@ -371,7 +308,6 @@ def estimate_offspring_matrix(
         mean=mean,
         se=(se11, se12, se21, se22),
         replicates=replicates,
-        estimator=estimator,
         row_cov=(cov1, cov2),
         capped=capped,
     )
@@ -379,29 +315,31 @@ def estimate_offspring_matrix(
 
 @dataclass(frozen=True)
 class SpectralRadiusEstimate:
-    """Monte Carlo reproduction number with delta-method and bootstrap CIs."""
+    """Monte Carlo reproduction number with a delta-method CI."""
 
     value: float
     se: float
     ci_low: float
     ci_high: float
-    bootstrap_ci: tuple[float, float]
     matrix: MatrixEstimate
 
 
 def _delta_method_se(est: MatrixEstimate) -> float:
+    """Standard error of the spectral radius from the element standard
+    errors, propagated through the eigenvalue gradient."""
     m = est.mean
+    se11, se12, se21, se22 = est.se
     half_diff = 0.5 * (m.m11 - m.m22)
     disc = math.sqrt(half_diff * half_diff + m.m12 * m.m21)
     if disc <= 0.0:
-        # eigenvalue not differentiable at a double root; callers fall back
-        # to the bootstrap interval (exact-zero matrices also land here)
-        return float("nan")
+        # m11 = m22 and m12*m21 = 0: the radius is max(m11, m22), whose
+        # gradient is not defined here; take the larger diagonal SE (0 at
+        # p = 1 or pi = 1, where both diagonals are exactly 0)
+        return max(se11, se22)
     g11 = 0.5 + half_diff / (2.0 * disc)
     g22 = 0.5 - half_diff / (2.0 * disc)
     g12 = m.m21 / (2.0 * disc)
     g21 = m.m12 / (2.0 * disc)
-    se11, se12, se21, se22 = est.se
     cov1, cov2 = est.row_cov
     var = (
         g11 * g11 * se11 * se11
@@ -414,53 +352,10 @@ def _delta_method_se(est: MatrixEstimate) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def _bootstrap_ci(
-    params: Params,
-    app: ComponentSamples,
-    non: ComponentSamples,
-    estimator: Estimator,
-    seed: int,
-    resamples: int = 1000,
-    blocks: int = 1000,
-) -> tuple[float, float]:
-    """Percentile bootstrap of the spectral radius over replicate blocks.
-
-    Replicates are i.i.d., so resampling equal contiguous index blocks (one
-    replicate per block when few replicates) is a valid bootstrap and keeps
-    the cost independent of the replicate count.
-    """
-    x11, x12 = _row_samples(params, app, estimator)
-    x21, x22 = _row_samples(params, non, estimator)
-    nblocks = min(blocks, x11.size, x21.size)
-    row1 = np.stack(
-        [
-            np.array([b.mean() for b in np.array_split(x11, nblocks)]),
-            np.array([b.mean() for b in np.array_split(x12, nblocks)]),
-        ]
-    )
-    row2 = np.stack(
-        [
-            np.array([b.mean() for b in np.array_split(x21, nblocks)]),
-            np.array([b.mean() for b in np.array_split(x22, nblocks)]),
-        ]
-    )
-    rng = np.random.default_rng(mix64(seed, _BOOT_TAG))
-    values = np.empty(resamples)
-    for b in range(resamples):
-        i1 = rng.integers(0, nblocks, nblocks)
-        i2 = rng.integers(0, nblocks, nblocks)
-        m11, m12 = row1[0, i1].mean(), row1[1, i1].mean()
-        m21, m22 = row2[0, i2].mean(), row2[1, i2].mean()
-        values[b] = _spectral_radius(m11, m12, m21, m22)
-    lo, hi = np.percentile(values, [2.5, 97.5])
-    return float(lo), float(hi)
-
-
 def r_component_combined(
     params: Params,
     replicates: int,
     seed: int,
-    estimator: Estimator = Estimator.EXPOSURE_TIME,
     workers: int = 1,
     cap: int = EVENT_CAP,
     z: float = 1.96,
@@ -468,26 +363,17 @@ def r_component_combined(
     """Combined-model reproduction number with a 95% confidence interval.
 
     The point estimate is the spectral radius of the estimated offspring
-    matrix; the primary CI propagates element standard errors through the
-    eigenvalue gradient (delta method) and a block bootstrap is attached as
-    an independent cross-check.
+    matrix; the CI propagates element standard errors through the
+    eigenvalue gradient (delta method).
     """
-    app = simulate_components(params, RootType.APP, replicates, seed, cap, workers)
-    non = simulate_components(params, RootType.NON_APP, replicates, seed, cap, workers)
-    est = estimate_offspring_matrix(
-        params, replicates, seed, estimator, workers, cap, _samples=(app, non)
-    )
+    est = estimate_offspring_matrix(params, replicates, seed, workers=workers, cap=cap)
     value = spectral_radius_2x2(est.mean)
-    boot = _bootstrap_ci(params, app, non, estimator, seed)
     se = _delta_method_se(est)
-    if math.isnan(se):
-        se = (boot[1] - boot[0]) / (2.0 * 1.96) if boot[1] > boot[0] else 0.0
     return SpectralRadiusEstimate(
         value=value,
         se=se,
         ci_low=value - z * se,
         ci_high=value + z * se,
-        bootstrap_ci=boot,
         matrix=est,
     )
 

@@ -48,16 +48,6 @@ class Params:
             raise InvalidParams("; ".join(problems))
 
 
-def validate(params: Params) -> Params:
-    """Return ``params`` unchanged iff every bound holds.
-
-    Construction already validates; this re-checks explicitly so callers can
-    guard values coming from untrusted configuration.
-    """
-    Params(params.beta, params.gamma, params.delta, params.pi, params.p, params.n)
-    return params
-
-
 def r0(params: Params) -> float:
     """Mean secondary infections of one infective before removal: beta/(gamma+delta)."""
     return params.beta / (params.gamma + params.delta)

@@ -139,6 +139,8 @@ def spec_from_json(text: str) -> SweepSpec:
             replicates=int(mc.get("replicates", 20_000)),
             seed=int(mc.get("seed", 0)),
             max_escalations=int(mc.get("max_escalations", 2)),
+            decision_z=float(mc.get("decision_z", 3.0)),
+            report_z=float(mc.get("report_z", 1.96)),
             workers=int(mc.get("workers", 1)),
         )
         if mc
@@ -174,6 +176,8 @@ def spec_to_json(spec: SweepSpec) -> str:
             "replicates": spec.mc.replicates,
             "seed": spec.mc.seed,
             "max_escalations": spec.mc.max_escalations,
+            "decision_z": spec.mc.decision_z,
+            "report_z": spec.mc.report_z,
             "workers": spec.mc.workers,
         },
     }

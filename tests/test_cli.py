@@ -133,6 +133,26 @@ def test_sweep_custom_spec_config(capsys, tmp_path):
     assert all(r["status"] == "ok" for r in rows)
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--replicates", "1000000"], 1_000_000),
+    (["--replicates", "999999"], 999_999),
+    ([], None),
+])
+def test_sweep_spec_replicates_passed_through(capsys, tmp_path, monkeypatch, argv, want):
+    seen = []
+
+    def stub(name, seed, replicates=None, workers=1):
+        seen.append(replicates)
+        return []
+
+    monkeypatch.setattr("epict.cli.builtin_datasets", stub)
+    code, _, _ = run_cli(
+        capsys, "sweep", "--spec", "fig5b", "--out-dir", str(tmp_path), *argv
+    )
+    assert code == 0
+    assert seen == [want]
+
+
 def test_table2_small_run_structure_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "t1.json"
     out2 = tmp_path / "t2.json"

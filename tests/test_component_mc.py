@@ -4,7 +4,9 @@ At p=0 the combined component reduces rate-for-rate to the app-only cluster,
 so every matrix element has a closed form to check against.  At pi=0 the
 component is the manual-tracing cluster, which is the same jump process as
 the app cluster with the app fraction replaced by the manual probability;
-that reparameterisation gives an independent series value for R_M.
+that reparameterisation gives an independent series value for R_M.  With
+both kinds of tracing, a sparse linear solve of the component chain on a
+truncated (k, l) lattice gives the exact occupation integrals.
 """
 
 import dataclasses
@@ -17,7 +19,6 @@ import pytest
 from epict import (
     DeathCause,
     DivergentSeries,
-    Estimator,
     EventCapExceeded,
     Params,
     RootType,
@@ -47,12 +48,63 @@ def manual_r_by_series(beta, gamma, delta, p) -> float:
     return offspring_matrix_digital(Params(beta, gamma, delta, p, 0.0, 1)).m12
 
 
+def lattice_offspring_matrix(params, K):
+    """Offspring matrix of the component chain truncated at level K = k+l.
+
+    The occupation integrals v_f = E[integral of f dt], f = k or l, solve
+    (-Q) v_f = f, with Q the generator on the transient states
+    1 <= k+l <= K.  Growth out of level K is suppressed; a diagnosis or the
+    last recovery leaves the lattice.  Returns (m11, m12, m21, m22).
+    """
+    from scipy.sparse import coo_matrix, diags
+    from scipy.sparse.linalg import spsolve
+
+    b, g, d, pi, p = params.beta, params.gamma, params.delta, params.pi, params.p
+    n = np.concatenate([np.full(m + 1, m) for m in range(1, K + 1)])
+    k = np.concatenate([np.arange(m + 1) for m in range(1, K + 1)])
+    l = n - k
+
+    def index(kk, ll):
+        m = kk + ll
+        return (m - 1) * (m + 2) // 2 + kk
+
+    out_rate = n * d
+    rows, cols, vals = [], [], []
+    for dk, dl, rate in (
+        (1, 0, b * pi * (k + p * l)),
+        (-1, 0, g * k),
+        (0, 1, b * (1 - pi) * p * n),
+        (0, -1, g * l),
+    ):
+        kk, ll = k + dk, l + dl
+        out_rate = out_rate + np.where(kk + ll <= K, rate, 0.0)
+        inside = (rate > 0) & (kk + ll >= 1) & (kk + ll <= K)
+        rows.append(np.nonzero(inside)[0])
+        cols.append(index(kk[inside], ll[inside]))
+        vals.append(-rate[inside])
+    a = (diags(out_rate) + coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n.size, n.size),
+    )).tocsc()
+    vk = spsolve(a, k.astype(float))
+    vl = spsolve(a, l.astype(float))
+    to_app = b * pi * (1 - p)
+    to_non = b * (1 - pi) * (1 - p)
+    app, non = index(1, 0), index(0, 1)
+    return (
+        to_app * vl[app], to_non * (vk[app] + vl[app]),
+        to_app * vl[non], to_non * (vk[non] + vl[non]),
+    )
+
+
 def test_no_births_when_tracing_is_certain():
+    # p = 1: every infection is traced, so both birth rates are zero and the
+    # exposure-time contributions vanish exactly, though components grow
     p = Params(0.8, 1 / 7, 1 / 7, 0.0, 1.0, 1)
-    rng = random.Random(7)
-    for _ in range(300):
-        out = simulate_component(RootType.NON_APP, p, rng)
-        assert out.births_app_root == 0 and out.births_nonapp_root == 0
+    est = estimate_offspring_matrix(p, 300, seed=7)
+    mean = est.mean
+    assert (mean.m11, mean.m12, mean.m21, mean.m22) == (0.0, 0.0, 0.0, 0.0)
+    assert est.se == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_app_root_without_manual_tracing_stays_app_only():
@@ -61,7 +113,6 @@ def test_app_root_without_manual_tracing_stays_app_only():
     for _ in range(300):
         out = simulate_component(RootType.APP, p, rng)
         assert out.nonapp_exposure == 0.0
-        assert out.births_app_root == 0
 
 
 def test_death_causes():
@@ -109,13 +160,14 @@ def test_matrix_rows_single_individual_case():
     assert abs(est.mean.m22 - r0(p)) <= 3 * est.se[3]
 
 
-def test_matrix_direct_count_zero_rate_channels_exact():
-    p = Params(0.8, 1 / 7, 1 / 7, 1.0, 0.3, 1)  # pi=1: no non-app-users at all
-    est = estimate_offspring_matrix(
-        p, 5_000, seed=5, estimator=Estimator.DIRECT_COUNT, workers=WORKERS
-    )
-    assert est.mean.m12 == 0.0 and est.mean.m22 == 0.0
-    assert est.se[1] == 0.0 and est.se[3] == 0.0
+def test_matrix_zero_rate_channels_exact():
+    # pi=1: no non-app-user is ever infected, so non-app roots have rate 0;
+    # an app-rooted component never holds a non-app-user, so m11 = 0 too
+    p = Params(0.8, 1 / 7, 1 / 7, 1.0, 0.3, 1)
+    est = estimate_offspring_matrix(p, 5_000, seed=5, workers=WORKERS)
+    assert est.mean.m11 == 0.0 and est.mean.m12 == 0.0 and est.mean.m22 == 0.0
+    assert est.se[0] == 0.0 and est.se[1] == 0.0 and est.se[3] == 0.0
+    assert est.mean.m21 > 0.0
 
 
 @pytest.mark.parametrize("pi", [0.3, 2 / 3])
@@ -131,32 +183,21 @@ def test_matrix_cross_oracle_against_analytic(pi):
         assert abs(got - want) <= 3 * se + 1e-12
 
 
-def test_estimators_agree():
-    p = Params(0.8, 1 / 7, 1 / 7, 0.5, 0.4, 1)
-    a = estimate_offspring_matrix(
-        p, 60_000, seed=44, estimator=Estimator.EXPOSURE_TIME, workers=WORKERS
+def test_matrix_against_lattice_solve(table2_params):
+    # the lattice oracle first reproduces the closed form at p = 0
+    digital = dataclasses.replace(table2_params, p=0.0)
+    assert lattice_offspring_matrix(digital, 100)[1] == pytest.approx(
+        offspring_matrix_digital(digital).m12, rel=1e-7
     )
-    b = estimate_offspring_matrix(
-        p, 60_000, seed=45, estimator=Estimator.DIRECT_COUNT, workers=WORKERS
-    )
-    for x, sx, y, sy in zip(
-        (a.mean.m11, a.mean.m12, a.mean.m21, a.mean.m22), a.se,
-        (b.mean.m11, b.mean.m12, b.mean.m21, b.mean.m22), b.se,
+    coarse = lattice_offspring_matrix(table2_params, 50)
+    exact = lattice_offspring_matrix(table2_params, 100)
+    assert max(abs(a - b) for a, b in zip(coarse, exact)) <= 1e-6
+    est = estimate_offspring_matrix(table2_params, 40_000, seed=71, workers=WORKERS)
+    # four simultaneous comparisons: 4 SE each keeps the family error small
+    for got, se, want in zip(
+        (est.mean.m11, est.mean.m12, est.mean.m21, est.mean.m22), est.se, exact
     ):
-        assert abs(x - y) <= 3 * math.hypot(sx, sy)
-
-
-def test_exposure_estimator_variance_not_worse():
-    p = Params(0.8, 1 / 7, 1 / 7, 0.5, 0.4, 1)
-    a = estimate_offspring_matrix(
-        p, 30_000, seed=46, estimator=Estimator.EXPOSURE_TIME, workers=WORKERS
-    )
-    b = estimate_offspring_matrix(
-        p, 30_000, seed=46, estimator=Estimator.DIRECT_COUNT, workers=WORKERS
-    )
-    # Rao-Blackwellised standard errors are no larger (allow small noise)
-    for sx, sy in zip(a.se, b.se):
-        assert sx <= sy * 1.05 + 1e-12
+        assert abs(got - want) <= 4 * se
 
 
 def test_determinism_across_worker_counts():
@@ -166,7 +207,7 @@ def test_determinism_across_worker_counts():
     assert one.value == two.value
     assert one.se == two.se
     assert one.matrix.se == two.matrix.se
-    assert one.bootstrap_ci == two.bootstrap_ci
+    assert one == two
 
 
 def test_replicate_streams_keyed_by_index():
@@ -181,13 +222,47 @@ def test_replicate_streams_keyed_by_index():
     assert replicate_seed(123, RootType.APP, 5) == s1
 
 
+def percentile_bootstrap(rows, resamples=1000, blocks=1000, seed=0):
+    """95% percentile interval of the spectral radius by a block bootstrap.
+
+    ``rows`` holds the per-replicate contributions (x11, x12, x21, x22).
+    Replicates are i.i.d., so resampling equal contiguous blocks of each row
+    independently is a valid bootstrap.
+    """
+    rng = np.random.default_rng(seed)
+    means = []
+    for first, second in (rows[:2], rows[2:]):
+        b1 = first.reshape(blocks, -1).mean(axis=1)
+        b2 = second.reshape(blocks, -1).mean(axis=1)
+        pick = rng.integers(0, blocks, (resamples, blocks))
+        means += [b1[pick].mean(axis=1), b2[pick].mean(axis=1)]
+    m11, m12, m21, m22 = means
+    radius = 0.5 * (m11 + m22) + np.sqrt(0.25 * (m11 - m22) ** 2 + m12 * m21)
+    lo, hi = np.percentile(radius, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 def test_r_combined_reference_values(table2_params):
     est = r_component_combined(table2_params, 150_000, seed=61, workers=WORKERS)
     assert est.value == pytest.approx(0.92, abs=0.02)
     assert est.ci_low < est.value < est.ci_high
-    # bootstrap interval should roughly agree with the delta-method one
-    assert est.bootstrap_ci[0] == pytest.approx(est.ci_low, abs=5 * est.se)
-    assert est.bootstrap_ci[1] == pytest.approx(est.ci_high, abs=5 * est.se)
+    # a bootstrap over the same replicate streams should roughly agree with
+    # the delta-method interval
+    p = table2_params
+    to_app = p.beta * p.pi * (1.0 - p.p)
+    to_non = p.beta * (1.0 - p.pi) * (1.0 - p.p)
+    rows = []
+    for root in (RootType.APP, RootType.NON_APP):
+        s = simulate_components(p, root, 150_000, seed=61, workers=WORKERS)
+        rows += [to_app * s.nonapp_exposure,
+                 to_non * (s.app_exposure + s.nonapp_exposure)]
+    m = est.matrix.mean
+    assert [x.mean() for x in rows] == pytest.approx(
+        [m.m11, m.m12, m.m21, m.m22], rel=1e-12
+    )
+    boot = percentile_bootstrap(rows)
+    assert boot[0] == pytest.approx(est.ci_low, abs=5 * est.se)
+    assert boot[1] == pytest.approx(est.ci_high, abs=5 * est.se)
 
 
 def test_r_combined_manual_only_matches_series(table2_params):

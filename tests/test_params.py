@@ -12,14 +12,18 @@ from epict import (
     params_to_dict,
     r0,
     testing_fraction,
-    validate,
     with_param,
 )
 
 
 def test_valid_params_pass_unchanged():
     p = Params(beta=6 / 7, gamma=1 / 7, delta=1 / 7, pi=0.5, p=0.5, n=5000)
-    assert validate(p) is p
+    assert params_to_dict(p) == {
+        "beta": 6 / 7, "gamma": 1 / 7, "delta": 1 / 7, "pi": 0.5, "p": 0.5, "n": 5000
+    }
+    # the closed ends of every bound are valid
+    Params(beta=0.0, gamma=1e-9, delta=0.0, pi=0.0, p=1.0, n=1)
+    Params(beta=1.0, gamma=1.0, delta=1.0, pi=1.0, p=0.0, n=1)
 
 
 def test_negative_beta_rejected():

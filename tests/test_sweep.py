@@ -219,14 +219,15 @@ def test_spec_json_round_trip():
         fixed=Params(0.8, 1 / 7, 1 / 7, 0.3, 0.4, 100),
         free_axis=AxisSpec("pi", 0.1, 0.9, 5),
         solve=SolveSpec("p", 0.0, 1.0, coord_tol=0.01),
-        mc=MCSettings(replicates=1000, seed=42, workers=3),
+        mc=MCSettings(replicates=1000, seed=42, max_escalations=1,
+                      decision_z=2.5, report_z=1.64, workers=3),
     )
     again = spec_from_json(spec_to_json(spec))
     assert again.target == spec.target
     assert again.fixed == spec.fixed
     assert again.free_axis == spec.free_axis
     assert again.solve == spec.solve
-    assert again.mc.replicates == 1000 and again.mc.seed == 42
+    assert again.mc == spec.mc
 
 
 def test_mc_target_requires_settings():
