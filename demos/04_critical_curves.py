@@ -9,9 +9,9 @@ is where the relevant reproduction number crosses 1.  Two comparisons:
   interviews still win;
 * the combined model against the independence guess.
 
-Manual and combined curve points are Monte Carlo (CI-aware bisection), so
-this demo keeps the grids coarse; see the `epict sweep` subcommand for the
-full datasets.
+Digital and manual curve points are closed form (R_D and R_M); the combined
+point is Monte Carlo (CI-aware bisection), so this demo keeps it to one
+point; see the `epict sweep` subcommand for the full datasets.
 """
 
 import math
@@ -37,8 +37,7 @@ for v in (0.3, 0.6, 0.9):
         Target.R_D, "testing_fraction", BRACKET, with_param(FIG, "pi", math.sqrt(v))
     )
     manual = find_critical(
-        Target.R_DM, "testing_fraction", BRACKET, with_param(FIG, "p", v),
-        coord_tol=1e-2, mc=mc,
+        Target.R_M, "testing_fraction", BRACKET, with_param(FIG, "p", v)
     )
     print(f"   {v:.1f}     |   {digital.critical_value:.3f}    |"
           f"       {digital_sq.critical_value:.3f}        |  {manual.critical_value:.3f}")

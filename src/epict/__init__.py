@@ -6,7 +6,7 @@ The package has four layers:
 * :mod:`epict.params`    -- validated model parameters and the baseline
   reproduction number ``beta / (gamma + delta)``.
 * :mod:`epict.digital`   -- closed-form branching-process quantities when
-  only app-based tracing operates.
+  only app-based tracing operates, and the manual-only number ``r_manual``.
 * :mod:`epict.component` -- Monte Carlo estimation of the combined
   digital + manual model's offspring matrix and reproduction number.
 * :mod:`epict.epidemic`  -- finite-population event-driven simulation with
@@ -27,17 +27,15 @@ from .params import (
     with_param,
 )
 from .digital import (
-    DEFAULT_SERIES,
     DivergentSeries,
     OffspringMatrix,
-    SeriesCapError,
-    SeriesControl,
     expected_jumps,
     mean_component_size,
     mean_infections_per_jump,
     offspring_matrix_digital,
     r_component_digital,
     r_individual_digital,
+    r_manual,
     spectral_radius_2x2,
     tail_prob_jumps,
 )

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from . import __version__
 from .component import naive_combined_r, r_component_combined
 from .digital import (
-    DEFAULT_SERIES,
     DivergentSeries,
-    SeriesCapError,
+    mean_component_size,
     offspring_matrix_digital,
     r_component_digital,
     r_individual_digital,
-    mean_component_size,
+    r_manual,
 )
 from .epidemic import ensemble_outcomes, run_ensemble, summarize_ensemble
 from .params import (
@@ -186,7 +185,7 @@ def _flatten(obj, prefix=""):
 
 def cmd_analytic(config: RunConfig) -> int:
     p = config.params
-    matrix = offspring_matrix_digital(p, DEFAULT_SERIES)
+    matrix = offspring_matrix_digital(p)
     report = {
         "params": params_to_dict(p),
         "r0": r0(p),
@@ -196,19 +195,16 @@ def cmd_analytic(config: RunConfig) -> int:
             "m21": matrix.m21,
             "m22": matrix.m22,
             "provenance": list(matrix.provenance),
-            "series_terms": matrix.series_terms,
         },
         "r_component_digital": r_component_digital(p),
         "mean_component_size": mean_component_size(p),
         "r_individual_digital": r_individual_digital(p),
-        "series": {"tol": DEFAULT_SERIES.tol, "kmax": DEFAULT_SERIES.kmax},
     }
     text = "\n".join(
         [
             f"R_0                  = {report['r0']:.6f}",
             f"offspring matrix     = [[{matrix.m11:.6f}, {matrix.m12:.6f}],"
             f" [{matrix.m21:.6f}, {matrix.m22:.6f}]]",
-            f"series terms used    = {matrix.series_terms}",
             f"R_D  (component)     = {report['r_component_digital']:.6f}",
             f"mean component size  = {report['mean_component_size']:.6f}",
             f"R_D  (individual)    = {report['r_individual_digital']:.6f}",
@@ -377,11 +373,8 @@ def cmd_table2(config: RunConfig) -> int:
         p = Params(base.beta, base.gamma, base.delta, case["pi"], case["p"], base.n)
         label = case["label"]
         _log(f"[table2] case {label}: p={case['p']:.3f} pi={case['pi']:.3f}")
-        if label == "R_0":
-            r_value, r_ci = r0(p), (r0(p), r0(p))
-            r_tol = 0.005
-        elif label == "R_D":
-            r_value = r_component_digital(p)
+        if label in ("R_0", "R_D", "R_M"):
+            r_value = {"R_0": r0, "R_D": r_component_digital, "R_M": r_manual}[label](p)
             r_ci = (r_value, r_value)
             r_tol = 0.005
         else:
@@ -509,7 +502,7 @@ def main(argv=None) -> int:
             "table2": cmd_table2,
         }[args.command]
         return handler(config)
-    except (InvalidParams, DivergentSeries, SeriesCapError, ValueError) as exc:
+    except (InvalidParams, DivergentSeries, ValueError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -36,11 +36,9 @@ import numpy as np
 
 from ._util import chunk_ranges, map_ordered, mix64
 from .digital import (
-    DEFAULT_SERIES,
     DivergentSeries,
     OffspringMatrix,
     PROV_ESTIMATED,
-    SeriesControl,
     r_component_digital,
     spectral_radius_2x2,
 )
@@ -394,7 +392,6 @@ def naive_combined_r(
     params: Params,
     replicates: int,
     seed: int,
-    ctrl: SeriesControl = DEFAULT_SERIES,
     workers: int = 1,
     z: float = 1.96,
 ) -> NaiveProductEstimate:
@@ -403,11 +400,12 @@ def naive_combined_r(
     With reductions defined through R_X = (1 - r_X) R0, independence would
     give R0 (1-r_M)(1-r_D) = R_M R_D / R0.  The digital factor is analytic;
     the manual factor is the combined model at pi = 0, estimated by Monte
-    Carlo.  Degenerate cases short-circuit exactly: p = 0 returns R_D and
+    Carlo (``digital.r_manual`` is its closed form, an oracle for it).
+    Degenerate cases short-circuit exactly: p = 0 returns R_D and
     pi = 0 returns R_M.
     """
     base = r0(params)
-    r_d = r_component_digital(params, ctrl)
+    r_d = r_component_digital(params)
     if params.p == 0.0:
         return NaiveProductEstimate(r_d, 0.0, r_d, r_d, r_d, None)
     manual = r_component_combined(

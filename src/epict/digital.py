@@ -13,8 +13,11 @@ killing event:
 * kill  (anyone in the cluster is diagnosed) at rate ``k*delta``
 
 All three rates scale with the cluster size ``k``, so the embedded jump chain
-has size-independent step probabilities.  That makes the number of jumps a
-cluster survives, and everything derived from it, tractable in closed form.
+has size-independent step probabilities.  The mean number of jumps a cluster
+survives then follows in closed form from the jump count's generating
+function, and so does everything derived from it: every quantity here is
+exact.  Manual tracing alone (``pi = 0``) drives the same walk with the app
+fraction replaced by the manual trace probability ``p`` (:func:`r_manual`).
 """
 
 from __future__ import annotations
@@ -31,28 +34,7 @@ class DivergentSeries(ValueError):
     """The expected jump count is infinite for these parameters."""
 
 
-class SeriesCapError(RuntimeError):
-    """Series truncation cap reached before the tolerance was met."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the expected-jump-count series."""
-
-    tol: float = 1e-10
-    kmax: int = 10**6
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.kmax < 1:
-            raise ValueError("kmax must be at least 1")
-
-
-DEFAULT_SERIES = SeriesControl()
-
 PROV_EXACT = "exact"
-PROV_SERIES = "series-truncated"
 PROV_ESTIMATED = "estimated"
 
 
@@ -61,9 +43,10 @@ class OffspringMatrix:
     """2x2 mean offspring matrix with per-element provenance.
 
     Element ``m_ij`` is the mean number of type-j offspring produced by one
-    type-i individual.  Provenance tags are row-major: "exact",
-    "series-truncated", or "estimated" (Monte Carlo, standard errors carried
-    separately by the estimator that produced the matrix).
+    type-i individual.  Provenance tags are row-major: "exact" (closed form)
+    or "estimated" (Monte Carlo, standard errors carried separately by the
+    estimator that produced the matrix).  ``series_terms`` is always None;
+    it stays for callers that read it.
     """
 
     m11: float
@@ -83,14 +66,11 @@ class OffspringMatrix:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=float)
 
 
-def _walk_pieces(params: Params):
-    """Survival factor per jump and the up/down split of the embedded walk."""
+def _walk_steps(params: Params) -> tuple[float, float, float]:
+    """Per-jump (birth, recovery, kill) probabilities of the embedded walk."""
     bp = params.beta * params.pi
     total = bp + params.gamma + params.delta
-    survive = (bp + params.gamma) / total  # P(next jump is not a kill)
-    up = bp / (bp + params.gamma)          # P(birth | not a kill)
-    down = params.gamma / (bp + params.gamma)
-    return bp, survive, up, down
+    return bp / total, params.gamma / total, params.delta / total
 
 
 def tail_prob_jumps(k: int, params: Params) -> float:
@@ -107,8 +87,10 @@ def tail_prob_jumps(k: int, params: Params) -> float:
     if params.pi == 0.0 or params.beta == 0.0:
         # a cluster with no app-side growth makes exactly one jump
         return 0.0
-    bp, survive, up, down = _walk_pieces(params)
-    log_up, log_down = math.log(up), math.log(down)
+    bp = params.beta * params.pi
+    survive = (bp + params.gamma) / (bp + params.gamma + params.delta)
+    log_up = math.log(bp / (bp + params.gamma))
+    log_down = math.log(params.gamma / (bp + params.gamma))
     absorbed = 0.0
     for j in range(1, k // 2 + 2):  # j ranges over odd absorption times 2j-1 <= k
         if 2 * j - 1 > k:
@@ -121,67 +103,44 @@ def tail_prob_jumps(k: int, params: Params) -> float:
     return alive * survive**k
 
 
-def expected_jumps(params: Params, ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def expected_jumps(params: Params) -> float:
     """Mean number of jumps an app-user cluster makes before dying out.
 
-    Computed as 1 plus the tail sum of :func:`tail_prob_jumps`.  The sum
-    converges iff ``delta > 0`` or ``beta*pi < gamma``; otherwise the cluster
-    has a positive chance of growing forever and the mean is infinite.
+    With per-jump birth, recovery and kill probabilities a, b, d, the jump
+    count J has generating function phi(z) + z*d / (1 - z*a*(1 + phi(z))):
+    phi(z) = z*(b + a*phi(z)^2) is the first passage one level down before
+    any kill, and the second term is a kill before that passage.  At z = 1,
+    with s = sqrt(1 - 4ab), phi = 2b/(1 + s), phi' = phi/s and
+    D = 1 - a*(1 + phi) = (1 + s - 2a)/2, so
+
+        E[J] = phi/s + d/D + a*d*(1 + phi + phi/s) / D^2.
+
+    The mean is finite iff ``delta > 0`` or ``beta*pi < gamma``; otherwise
+    the cluster has a positive chance of growing forever.  It equals
+    ``1 + sum(tail_prob_jumps(k) for k >= 1)``.
 
     Raises:
-        DivergentSeries: if the convergence condition fails.
-        SeriesCapError: if ``ctrl.kmax`` terms did not reach ``ctrl.tol``.
+        DivergentSeries: if the mean is infinite.
     """
-    value, _ = _expected_jumps_info(params, ctrl)
-    return value
-
-
-def _expected_jumps_info(params: Params, ctrl: SeriesControl) -> tuple[float, int]:
-    """(series value, number of tail terms summed)."""
     bp = params.beta * params.pi
-    gamma, delta = params.gamma, params.delta
-    if delta <= 0 and bp >= gamma:
+    if params.delta <= 0 and bp >= params.gamma:
         raise DivergentSeries(
             "expected cluster jump count E[N_c] diverges: "
             "need delta > 0 or beta*pi < gamma"
         )
-    # Mean absorption time of the pure birth/death walk (no killing); finite
-    # exactly when the walk drifts down.  At delta=0 the series equals it.
-    walk_mean = (bp + gamma) / (gamma - bp) if bp < gamma else math.inf
-    if delta <= 0:
-        return walk_mean, 0
     if bp == 0.0:
-        return 1.0, 0  # all tail probabilities vanish
-
-    _, survive, up, down = _walk_pieces(params)
-    total = 1.0        # leading 1
-    alive = 1.0        # P(walk not absorbed within k steps); shrinks as terms arrive
-    walk_partial = 1.0 # running sum of alive-probabilities = partial walk mean
-    spow = 1.0
-    term = 0.0
-    j = 0
-    for k in range(1, ctrl.kmax + 1):
-        spow *= survive
-        if k % 2 == 1:
-            # one new absorption term per odd step; Catalan ratio keeps it O(1)
-            j += 1
-            term = down if j == 1 else term * 2.0 * (2 * j - 3) / j * up * down
-            alive -= term
-            if alive < 0.0:
-                alive = 0.0
-        total += alive * spow
-        # Two rigorous tail bounds; either one below tol ends the sum:
-        # remaining mass is at most the geometric kill-survival tail, and at
-        # most the walk mean not yet accounted for (alive probs only shrink).
-        geo_tail = spow * survive / (1.0 - survive)
-        walk_tail = walk_mean - walk_partial
-        walk_partial += alive
-        if min(geo_tail, walk_tail) < ctrl.tol:
-            return total, k
-    raise SeriesCapError(
-        f"expected-jump series needed more than kmax={ctrl.kmax} terms "
-        f"(tol={ctrl.tol}); raise kmax or avoid near-zero delta"
-    )
+        return 1.0  # a cluster with no app-side growth makes exactly one jump
+    a, b, d = _walk_steps(params)
+    # sqrt(1 - 4ab) and D written without cancellation: 1 = (a + b + d)^2, and
+    # where 2a > 1, (1 + s - 2a)(1 + s + 2a - 2) = s^2 - (2a - 1)^2 = 4ad
+    s = math.sqrt((a - b) ** 2 + d * (d + 2.0 * (a + b)))
+    phi = 2.0 * b / (1.0 + s)
+    if b + d >= a:
+        den = 0.5 * (s + b + d - a)
+    else:
+        den = 2.0 * a * d / (s + a - b - d)
+    dphi = phi / s
+    return dphi + d / den + a * d * (1.0 + phi + dphi) / den**2
 
 
 def mean_infections_per_jump(params: Params) -> float:
@@ -196,37 +155,37 @@ def mean_infections_per_jump(params: Params) -> float:
     )
 
 
-def offspring_matrix_digital(
-    params: Params, ctrl: SeriesControl = DEFAULT_SERIES
-) -> OffspringMatrix:
+def offspring_matrix_digital(params: Params) -> OffspringMatrix:
     """Mean offspring matrix of the cluster/non-app-user branching process.
 
     Clusters never spawn clusters (an infected app-user joins its infector's
     cluster), so m11 = 0.  Non-app-users are never traced and infect both
     types geometrically.  The cluster-to-non-app-user mean m12 is the mean
-    infections per jump times the expected jump count.
+    infections per jump times the expected jump count; at pi = 1 it is 0
+    (no non-app-users exist), even where the jump count diverges.
     """
     base = r0(params)
-    m21 = params.pi * base
-    m22 = (1.0 - params.pi) * base
-    if params.pi == 0.0 or params.beta == 0.0 or params.pi == 1.0:
-        # expected jump count is exactly 1 (pi=0) or irrelevant (m12 factor 0)
-        m12 = mean_infections_per_jump(params) * (1.0 if params.pi == 0.0 else 0.0)
-        if params.beta == 0.0:
-            m12 = 0.0
-        return OffspringMatrix(
-            0.0, m12, m21, m22, (PROV_EXACT,) * 4, series_terms=None
-        )
-    jumps, terms = _expected_jumps_info(params, ctrl)
-    m12 = mean_infections_per_jump(params) * jumps
+    m12 = 0.0
+    if params.pi < 1.0:
+        m12 = mean_infections_per_jump(params) * expected_jumps(params)
     return OffspringMatrix(
-        0.0,
-        m12,
-        m21,
-        m22,
-        (PROV_EXACT, PROV_SERIES, PROV_EXACT, PROV_EXACT),
-        series_terms=terms,
+        0.0, m12, params.pi * base, (1.0 - params.pi) * base, (PROV_EXACT,) * 4
     )
+
+
+def r_manual(params: Params) -> float:
+    """Reproduction number under manual tracing only (``params.pi`` unread).
+
+    A manual cluster grows per member at beta*p, recovers at gamma, is
+    killed at delta and exports untraced infections at beta*(1-p) per
+    member: the jump process of an app-user cluster with app fraction p.
+    So R_M is the digital m12 with pi replaced by p.
+
+    Raises:
+        DivergentSeries: if delta = 0 and beta*p >= gamma.
+    """
+    manual = Params(params.beta, params.gamma, params.delta, params.p, 0.0, params.n)
+    return offspring_matrix_digital(manual).m12
 
 
 def _spectral_radius(m11: float, m12: float, m21: float, m22: float) -> float:
@@ -241,16 +200,16 @@ def spectral_radius_2x2(m: OffspringMatrix) -> float:
     return _spectral_radius(m.m11, m.m12, m.m21, m.m22)
 
 
-def r_component_digital(params: Params, ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def r_component_digital(params: Params) -> float:
     """Cluster-level reproduction number for app-based tracing only.
 
     Spectral radius of :func:`offspring_matrix_digital`; with m11 = 0 it is
     m22/2 + sqrt(m22^2/4 + m12*m21).  Threshold at 1.
     """
-    return spectral_radius_2x2(offspring_matrix_digital(params, ctrl))
+    return spectral_radius_2x2(offspring_matrix_digital(params))
 
 
-def mean_component_size(params: Params, ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def mean_component_size(params: Params) -> float:
     """Mean number of app-users ever infected in one app-user cluster.
 
     The cluster gains one member exactly at each birth jump, and every jump
@@ -258,14 +217,11 @@ def mean_component_size(params: Params, ctrl: SeriesControl = DEFAULT_SERIES) ->
     the past, so the mean size is 1 plus that fraction of the expected jump
     count.  Cross-checked against direct cluster simulation.
     """
-    if params.pi == 0.0 or params.beta == 0.0:
-        return 1.0
-    bp = params.beta * params.pi
-    birth_frac = bp / (bp + params.gamma + params.delta)
-    return 1.0 + birth_frac * expected_jumps(params, ctrl)
+    birth_frac, _, _ = _walk_steps(params)
+    return 1.0 + birth_frac * expected_jumps(params)
 
 
-def r_individual_digital(params: Params, ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def r_individual_digital(params: Params) -> float:
     """Per-individual reproduction number under app-based tracing.
 
     A newly infected individual is an app-user with probability pi; the mean
@@ -277,7 +233,7 @@ def r_individual_digital(params: Params, ctrl: SeriesControl = DEFAULT_SERIES) -
     base = r0(params)
     if params.pi == 0.0:
         return base
-    matrix = offspring_matrix_digital(params, ctrl)
-    size = mean_component_size(params, ctrl)
+    matrix = offspring_matrix_digital(params)
+    size = mean_component_size(params)
     per_app_user = ((size - 1.0) + matrix.m12) / size
     return params.pi * per_app_user + (1.0 - params.pi) * base

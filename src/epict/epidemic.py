@@ -148,7 +148,7 @@ def run_epidemic(
 
     records = EpidemicRecords()
     records.add(-1, uniform() < pi, False)
-    state = records.state
+    state, is_app = records.state, records.is_app
     infectious = [0]
     slot = {0: 0}  # id -> position in the infectious list
     susceptible = n - 1
@@ -189,11 +189,17 @@ def run_epidemic(
             discard(vid)
         else:
             vid = infectious[int(uniform() * infectious_count)]
-            # sorted so the infectious-list layout (swap-pop order) never
-            # depends on set iteration order
-            for traced in sorted(trace_closure(vid, records)):
-                if traced in slot:
-                    discard(traced)
+            if p == 0.0 and not is_app[vid]:
+                # no manual flag is ever set and the diagnosee is off the
+                # app, so no edge of it is traceable: the closure is {vid}
+                state[vid] = DIAGNOSED
+                discard(vid)
+            else:
+                # sorted so the infectious-list layout (swap-pop order) never
+                # depends on set iteration order
+                for traced in sorted(trace_closure(vid, records)):
+                    if traced in slot:
+                        discard(traced)
             if debug_checks:
                 _assert_invariants(records, susceptible, infectious_count, n)
 

@@ -1,11 +1,12 @@
 """Parameter sweeps: critical curves, heatmap grids, and figure datasets.
 
-A sweep evaluates one of four reproduction-number targets over parameter
-axes.  Deterministic targets (the closed-form digital quantities) are solved
-to a residual tolerance by plain bisection; Monte Carlo targets use a
-CI-aware bisection that escalates the replicate count when the interval at
-the midpoint straddles 1 and stops once the bracket is narrower than the
-coordinate tolerance.
+A sweep evaluates one of five reproduction-number targets over parameter
+axes.  Deterministic targets (the closed-form digital and manual-only
+numbers) are solved to a residual tolerance by plain bisection, and every
+value they report carries a zero-width interval.  Monte Carlo targets (the
+combined model and the independence product) use a CI-aware bisection that
+escalates the replicate count when the interval at the midpoint straddles 1
+and stops once the bracket is narrower than the coordinate tolerance.
 
 Every Monte Carlo evaluation is seeded from the sweep seed and the exact
 float bit patterns of its coordinates, so any published cell or curve point
@@ -17,26 +18,20 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._util import float_key, mix64
 from .component import naive_combined_r, r_component_combined
-from .digital import (
-    DEFAULT_SERIES,
-    DivergentSeries,
-    SeriesCapError,
-    SeriesControl,
-    r_component_digital,
-    r_individual_digital,
-)
+from .digital import DivergentSeries, r_component_digital, r_individual_digital, r_manual
 from .params import AXIS_NAMES, Params, with_param
 
 
 class Target(enum.Enum):
     R_D = "R_D"
     R_IND_D = "R_ind_D"
+    R_M = "R_M"
     R_DM = "R_DM"
     NAIVE_PRODUCT = "NaiveProduct"
 
@@ -102,7 +97,6 @@ class SweepSpec:
     second_axis: AxisSpec | None = None
     solve: SolveSpec | None = None
     mc: MCSettings | None = None
-    ctrl: SeriesControl = field(default_factory=SeriesControl)
 
     def mc_required(self) -> MCSettings:
         if self.target in MC_TARGETS:
@@ -187,8 +181,8 @@ def spec_to_json(spec: SweepSpec) -> str:
 @dataclass(frozen=True)
 class TargetEval:
     value: float
-    ci_low: float = float("nan")
-    ci_high: float = float("nan")
+    ci_low: float
+    ci_high: float
     status: str = "ok"
 
     @property
@@ -199,42 +193,37 @@ class TargetEval:
 def evaluate_target(
     target: Target,
     params: Params,
-    ctrl: SeriesControl = DEFAULT_SERIES,
+    *,
     mc: MCSettings | None = None,
     eval_seed: int = 0,
     replicates: int | None = None,
     z: float | None = None,
 ) -> TargetEval:
-    """One target evaluation; divergent series map to +inf (supercritical).
+    """One target evaluation; divergent means map to +inf (supercritical).
 
     A divergent expected cluster size means the cluster itself can grow
-    without bound, so for threshold purposes the target is above 1.
+    without bound, so for threshold purposes the target is above 1.  A
+    closed-form value is its own zero-width interval.
     """
     try:
-        if target is Target.R_D:
-            return TargetEval(r_component_digital(params, ctrl))
-        if target is Target.R_IND_D:
-            return TargetEval(r_individual_digital(params, ctrl))
-    except DivergentSeries:
-        return TargetEval(float("inf"), status="divergent")
-    except SeriesCapError as exc:
-        return TargetEval(float("nan"), status=f"error: {exc}")
-    if mc is None:
-        raise ValueError(f"target {target.value} needs mc settings")
-    reps = replicates if replicates is not None else mc.replicates
-    zz = z if z is not None else mc.report_z
-    try:
-        if target is Target.R_DM:
-            est = r_component_combined(
-                params, reps, seed=eval_seed, workers=mc.workers, z=zz
-            )
+        if target in MC_TARGETS:
+            if mc is None:
+                raise ValueError(f"target {target.value} needs mc settings")
+            reps = replicates if replicates is not None else mc.replicates
+            zz = z if z is not None else mc.report_z
+            estimate = r_component_combined if target is Target.R_DM else naive_combined_r
+            est = estimate(params, reps, seed=eval_seed, workers=mc.workers, z=zz)
             return TargetEval(est.value, est.ci_low, est.ci_high)
-        est = naive_combined_r(params, reps, seed=eval_seed, workers=mc.workers, z=zz)
-        return TargetEval(est.value, est.ci_low, est.ci_high)
+        if target is Target.R_D:
+            value = r_component_digital(params)
+        elif target is Target.R_IND_D:
+            value = r_individual_digital(params)
+        else:
+            value = r_manual(params)
+        return TargetEval(value, value, value)
     except DivergentSeries:
-        return TargetEval(float("inf"), status="divergent")
-    except SeriesCapError as exc:
-        return TargetEval(float("nan"), status=f"error: {exc}")
+        inf = float("inf")
+        return TargetEval(inf, inf, inf, status="divergent")
 
 
 @dataclass(frozen=True)
@@ -250,13 +239,6 @@ class CurvePoint:
 def _point_seed(mc_seed: int, abscissa: float | None, coordinate: float, level: int) -> int:
     a_key = 0 if abscissa is None else float_key(abscissa)
     return mix64(mc_seed, a_key, float_key(coordinate), level)
-
-
-def _deterministic_value(target, coordinate, x, fixed, ctrl) -> float:
-    ev = evaluate_target(target, with_param(fixed, coordinate, x), ctrl)
-    if ev.status.startswith("error"):
-        raise SeriesCapError(ev.status)
-    return ev.value
 
 
 def _prescan_monotone(evaluate, lo: float, hi: float, slack) -> None:
@@ -281,7 +263,6 @@ def find_critical(
     fixed: Params,
     tol: float = 1e-9,
     coord_tol: float = 1e-3,
-    ctrl: SeriesControl = DEFAULT_SERIES,
     mc: MCSettings | None = None,
     abscissa: float | None = None,
 ) -> CurvePoint:
@@ -303,16 +284,19 @@ def find_critical(
         if mc is None:
             raise ValueError(f"target {target.value} needs mc settings")
         return _find_critical_mc(
-            target, solve_coordinate, lo, hi, fixed, ctrl, mc, coord_tol, abscissa
+            target, solve_coordinate, lo, hi, fixed, mc, coord_tol, abscissa
         )
-    return _find_critical_exact(
-        target, solve_coordinate, lo, hi, fixed, ctrl, tol, abscissa
-    )
+    return _find_critical_exact(target, solve_coordinate, lo, hi, fixed, tol, abscissa)
 
 
-def _find_critical_exact(target, coord, lo, hi, fixed, ctrl, tol, abscissa):
+def _exact_point(abscissa, x, f_x) -> CurvePoint:
+    # the target's value at the root, 1 + f_x, as a zero-width interval
+    return CurvePoint(abscissa, x, abs(f_x), 1.0 + f_x, 1.0 + f_x)
+
+
+def _find_critical_exact(target, coord, lo, hi, fixed, tol, abscissa):
     def value(x):
-        return _deterministic_value(target, coord, x, fixed, ctrl)
+        return evaluate_target(target, with_param(fixed, coord, x)).value
 
     if coord == "pi":
         _prescan_monotone(value, lo, hi, slack=lambda a, b: 1e-9)
@@ -320,7 +304,7 @@ def _find_critical_exact(target, coord, lo, hi, fixed, ctrl, tol, abscissa):
     f_hi = value(hi) - 1.0
     for x, fx in ((lo, f_lo), (hi, f_hi)):
         if abs(fx) <= tol:
-            return CurvePoint(abscissa, x, abs(fx))
+            return _exact_point(abscissa, x, fx)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise NoRootInBracket(
             f"target - 1 has the same sign at both bracket ends "
@@ -331,7 +315,7 @@ def _find_critical_exact(target, coord, lo, hi, fixed, ctrl, tol, abscissa):
         m = 0.5 * (a + b)
         f_m = value(m) - 1.0
         if abs(f_m) <= tol:
-            return CurvePoint(abscissa, m, abs(f_m))
+            return _exact_point(abscissa, m, f_m)
         if (f_m > 0.0) == (f_a > 0.0):
             a, f_a = m, f_m
         else:
@@ -344,16 +328,16 @@ def _find_critical_exact(target, coord, lo, hi, fixed, ctrl, tol, abscissa):
     )
 
 
-def _mc_eval(target, coord, x, fixed, ctrl, mc, abscissa, z):
+def _mc_eval(target, coord, x, fixed, mc, abscissa, z):
     params = with_param(fixed, coord, x)
     reps = mc.replicates
     for level in range(mc.max_escalations + 1):
         ev = evaluate_target(
-            target, params, ctrl, mc,
+            target, params, mc=mc,
             eval_seed=_point_seed(mc.seed, abscissa, x, level),
             replicates=reps, z=z,
         )
-        if ev.status == "divergent" or ev.status.startswith("error"):
+        if ev.status == "divergent":
             return ev
         if not (ev.ci_low <= 1.0 <= ev.ci_high):
             return ev
@@ -372,12 +356,9 @@ def _mc_side(ev: TargetEval) -> int:
     return 0
 
 
-def _find_critical_mc(target, coord, lo, hi, fixed, ctrl, mc, coord_tol, abscissa):
+def _find_critical_mc(target, coord, lo, hi, fixed, mc, coord_tol, abscissa):
     def decided(x):
-        ev = _mc_eval(target, coord, x, fixed, ctrl, mc, abscissa, mc.decision_z)
-        if ev.status.startswith("error"):
-            raise SeriesCapError(ev.status)
-        return ev
+        return _mc_eval(target, coord, x, fixed, mc, abscissa, mc.decision_z)
 
     if coord == "pi":
         # nine-point scan over all ordered pairs; only CI-separated reversals
@@ -423,7 +404,7 @@ def _find_critical_mc(target, coord, lo, hi, fixed, ctrl, mc, coord_tol, absciss
         else:
             b = m
     m = 0.5 * (a + b)
-    ev = _mc_eval(target, coord, m, fixed, ctrl, mc, abscissa, mc.report_z)
+    ev = _mc_eval(target, coord, m, fixed, mc, abscissa, mc.report_z)
     return CurvePoint(abscissa, m, abs(ev.value - 1.0), ev.ci_low, ev.ci_high)
 
 
@@ -444,7 +425,6 @@ def critical_curve(spec: SweepSpec) -> list[CurvePoint]:
                     fixed,
                     tol=spec.solve.residual_tol,
                     coord_tol=spec.solve.coord_tol,
-                    ctrl=spec.ctrl,
                     mc=mc,
                     abscissa=a,
                 )
@@ -488,7 +468,7 @@ def heatmap_grid(spec: SweepSpec) -> HeatmapGrid:
             )
             row.append(
                 evaluate_target(
-                    spec.target, params, spec.ctrl, mc, eval_seed=cell_seed(seed0, x1, x2)
+                    spec.target, params, mc=mc, eval_seed=cell_seed(seed0, x1, x2)
                 )
             )
         rows.append(tuple(row))
@@ -503,7 +483,7 @@ def profile(spec: SweepSpec) -> list[tuple[float, TargetEval]]:
     for x in spec.free_axis.values():
         params = with_param(spec.fixed, spec.free_axis.name, x)
         out.append(
-            (x, evaluate_target(spec.target, params, spec.ctrl, mc,
+            (x, evaluate_target(spec.target, params, mc=mc,
                                 eval_seed=cell_seed(seed0, x, 0.0)))
         )
     return out
@@ -578,12 +558,15 @@ def builtin_datasets(
     fig5a: combined-model heatmap over (p, pi) at testing fraction 1/2, with
            the R_DM = 1 curve and the independence-product = 1 curve.
     fig5b: combined-model heatmap and R_DM = 1 curve at testing fraction 1/5.
+
+    fig3a, fig3b and fig4 are closed form; only fig5a and fig5b read the
+    seed, the replicate count and the workers.
     """
     mc = MCSettings(replicates=replicates or 20_000, seed=seed, workers=workers)
     if name == "fig3a":
-        return _fig3_datasets(mc, curve_points, squared=False)
+        return _fig3_datasets(curve_points, squared=False)
     if name == "fig3b":
-        return _fig3_datasets(mc, curve_points, squared=True)
+        return _fig3_datasets(curve_points, squared=True)
     if name == "fig4":
         return _fig4_dataset()
     if name == "fig5a":
@@ -593,24 +576,16 @@ def builtin_datasets(
     raise ValueError(f"unknown sweep name {name!r}; choose from {builtin_names()}")
 
 
-def _fig3_datasets(mc: MCSettings, curve_points: int, squared: bool) -> list[SweepDataset]:
+def _fig3_datasets(curve_points: int, squared: bool) -> list[SweepDataset]:
     base = _figure_base(delta=FIGURE_GAMMA)  # delta rescaled per point below
-    solve = SolveSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION, coord_tol=2e-3)
+    solve = SolveSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION)
     axis = AxisSpec("pi", 0.1, 0.9, curve_points)
-    digital = critical_curve(
-        SweepSpec(Target.R_D, base, axis, solve=solve, mc=mc)
-    )
+    digital = critical_curve(SweepSpec(Target.R_D, base, axis, solve=solve))
     if squared:
         digital = [replace(p, abscissa=None if p.abscissa is None else p.abscissa**2)
                    for p in digital]
     manual = critical_curve(
-        SweepSpec(
-            Target.R_DM,
-            base,  # pi = 0 already: combined model reduces to manual tracing
-            AxisSpec("p", 0.1, 0.9, curve_points),
-            solve=solve,
-            mc=mc,
-        )
+        SweepSpec(Target.R_M, base, AxisSpec("p", 0.1, 0.9, curve_points), solve=solve)
     )
     out = [
         SweepDataset("digital_curve_sq" if squared else "digital_curve",

@@ -25,8 +25,9 @@ def test_analytic_reference_values(capsys, tmp_path):
     assert report["r0"] == pytest.approx(2.80, abs=1e-12)
     assert report["r_component_digital"] == pytest.approx(2.20, abs=0.005)
     assert report["offspring_matrix"]["m11"] == 0.0
-    assert report["offspring_matrix"]["series_terms"] >= 1
-    assert "R_D" in text
+    assert report["offspring_matrix"]["provenance"] == ["exact"] * 4
+    assert "series" not in report and "series_terms" not in report["offspring_matrix"]
+    assert "R_D" in text and "series" not in text
 
 
 def parse_report(text):
@@ -164,6 +165,9 @@ def test_table2_small_run_structure_and_determinism(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     report = json.loads(out1.read_text())
     assert [r["label"] for r in report["rows"]] == ["R_0", "R_D", "R_M", "R_DM"]
+    manual = report["rows"][2]  # closed form, not Monte Carlo
+    assert manual["r_value"] == pytest.approx(1.4921587, abs=1e-7)
+    assert manual["r_flag"] == "pass"
     flags = {r["r_flag"] for r in report["rows"]}
     assert flags <= {"pass", "fail", "inconclusive"}
     assert len(text.splitlines()) >= 6

@@ -1,9 +1,10 @@
 """Closed-form digital-tracing quantities against independent oracles.
 
 The main oracles: exhaustive enumeration (exact rational DP over the cluster
-jump chain) for tail probabilities, direct cluster simulation for the series
-quantities, and a bisection root-finder on the characteristic polynomial for
-the spectral radius.
+jump chain) for tail probabilities, their partial sums for the closed-form
+expected jump count, direct cluster simulation for the jump-count
+quantities, and a bisection root-finder on the characteristic polynomial
+for the spectral radius.
 """
 
 import math
@@ -17,8 +18,6 @@ from epict import (
     DivergentSeries,
     Params,
     RootType,
-    SeriesCapError,
-    SeriesControl,
     expected_jumps,
     mean_component_size,
     mean_infections_per_jump,
@@ -124,9 +123,44 @@ def test_expected_jumps_is_one_without_app_growth():
 
 def test_expected_jumps_matches_tail_partial_sums():
     p = params(beta=0.8, pi=2 / 3)
-    series = expected_jumps(p, SeriesControl(tol=1e-13))
     direct = 1.0 + sum(tail_prob_jumps(k, p) for k in range(1, 400))
-    assert series == pytest.approx(direct, rel=1e-10)
+    assert expected_jumps(p) == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "beta, pi, delta, terms",
+    [
+        (6 / 7, 0.1, 1e-9, 1600),    # delta -> 0, walk drifts down (bp/gamma = 0.6)
+        (6 / 7, 1 / 12, 1e-12, 1200),
+        (0.8, 0.09, 1e-6, 800),      # bp/gamma = 0.504
+        (1 / 7, 1.0, 1 / 14, 200),   # critical walk: birth = recovery probability
+        (0.2, 0.71, 0.05, 200),      # a ~ b, walk slightly sub- and supercritical
+        (0.2, 0.72, 0.05, 200),
+        (0.9, 0.5, 0.15, 200),       # supercritical walk, moderate testing
+    ],
+)
+def test_closed_form_equals_tail_sum_near_degenerate_points(beta, pi, delta, terms):
+    p = params(beta=beta, pi=pi, delta=delta)
+    assert tail_prob_jumps(terms, p) < 1e-15  # the rest of the sum is negligible
+    direct = 1.0 + sum(tail_prob_jumps(k, p) for k in range(1, terms + 1))
+    assert expected_jumps(p) == pytest.approx(direct, rel=1e-10)
+
+
+def test_expected_jumps_diverges_exactly_where_the_tail_sum_does():
+    # the tail sum is finite iff delta > 0 or beta*pi < gamma (with equality
+    # the walk is recurrent: absorbed surely but with an infinite mean)
+    gamma = 1 / 7
+    for pi in (0.1, 1 / 6, 1 / 6 + 1e-12, 0.5, 1.0):
+        for delta in (0.0, 1e-12, 0.1):
+            p = params(beta=6 / 7, gamma=gamma, delta=delta, pi=pi)
+            if delta == 0.0 and p.beta * p.pi >= gamma:
+                with pytest.raises(DivergentSeries):
+                    expected_jumps(p)
+            else:
+                assert math.isfinite(expected_jumps(p))
+    # approaching the divergent corner the mean grows without bound
+    near = [expected_jumps(params(delta=0.0, pi=1 / 6 - eps)) for eps in (1e-2, 1e-4, 1e-6)]
+    assert near[0] < near[1] < near[2] and near[2] > 1e5
 
 
 def test_expected_jumps_heavy_testing_is_almost_one():
@@ -156,11 +190,6 @@ def test_expected_jumps_no_testing_subcritical_closed_form():
     # continuity: a tiny positive delta stays close
     near = expected_jumps(params(delta=1e-9, pi=0.1))
     assert near == pytest.approx(expected_jumps(p), rel=1e-4)
-
-
-def test_expected_jumps_cap_error():
-    with pytest.raises(SeriesCapError):
-        expected_jumps(params(delta=1e-3, pi=0.9), SeriesControl(tol=1e-10, kmax=50))
 
 
 # --------------------------------------------------------------------------
@@ -220,11 +249,10 @@ def test_matrix_row_sum_identity():
 
 
 def test_matrix_provenance_tags():
-    m = offspring_matrix_digital(params(pi=0.5))
-    assert m.provenance == ("exact", "series-truncated", "exact", "exact")
-    assert m.series_terms is not None and m.series_terms >= 1
-    exact = offspring_matrix_digital(params(pi=0.0))
-    assert exact.provenance == ("exact",) * 4
+    for pi in (0.0, 0.5, 1.0):
+        m = offspring_matrix_digital(params(pi=pi))
+        assert m.provenance == ("exact",) * 4
+        assert m.series_terms is None
 
 
 def test_matrix_rejects_negative_elements():

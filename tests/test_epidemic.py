@@ -163,6 +163,33 @@ def test_determinism_per_seed():
     assert a != c
 
 
+# (p, pi) -> seed -> (final size, peak, events, duration, diagnosed count),
+# recorded from the simulator that ran the full trace closure on every
+# diagnosis; the untraceable-diagnosis shortcut must reproduce them exactly
+PINNED_OUTCOMES = {
+    (0.0, 0.0): {
+        11: (1, 1, 1, 0.7558013378605367, 1),
+        12: (4607, 1365, 9213, 52.10200906945868, 2317),
+        13: (4663, 1442, 9325, 44.45462090327528, 2327),
+    },
+    (0.0, 2 / 3): {
+        11: (1, 1, 1, 0.7558013378605367, 1),
+        12: (3, 2, 4, 2.06363935080532, 3),
+        13: (4120, 768, 7137, 65.12816966410371, 2983),
+    },
+}
+
+
+@pytest.mark.parametrize("row", sorted(PINNED_OUTCOMES))
+def test_untraceable_rows_pinned(row):
+    params = Params(beta=0.8, gamma=1 / 7, delta=1 / 7, pi=row[1], p=row[0], n=5000)
+    for seed, want in PINNED_OUTCOMES[row].items():
+        o, rec = run_epidemic(params, seed, return_records=True)
+        got = (o.final_size, o.peak_infectious, o.event_count, o.duration,
+               rec.state.count(DIAGNOSED))
+        assert got == want
+
+
 def test_index_case_app_flag_follows_pi():
     _, rec = run_epidemic(small(pi=1.0, beta=0.0), seed=5, return_records=True)
     assert rec.is_app[0]

@@ -20,6 +20,7 @@ from epict import (
     heatmap_grid,
     profile,
     r_component_digital,
+    r_manual,
     spec_from_json,
     spec_to_json,
     with_param,
@@ -120,6 +121,31 @@ def test_find_critical_mc_smoke():
     # via the series reparameterisation in test_component_mc)
     assert point.critical_value == pytest.approx(0.80, abs=0.04)
     assert point.ci_low <= point.residual + 1.0 + 1e-9  # interval is attached
+
+
+@pytest.mark.parametrize("p", [0.3, 0.6])
+def test_manual_mc_bisection_lands_on_closed_form_root(p):
+    # R_DM at pi = 0 is the manual-only model: its Monte Carlo bisection must
+    # land within its own slack (bracket plus the reported CI mapped through
+    # the curve's slope) of the closed-form R_M root
+    fixed = with_param(FIG, "p", p)
+    exact = find_critical(Target.R_M, "testing_fraction", (0.0, FMAX), fixed, tol=1e-10)
+    mc = MCSettings(replicates=4_000, seed=19, max_escalations=1, workers=WORKERS)
+    coord_tol = 0.01
+    point = find_critical(
+        Target.R_DM, "testing_fraction", (0.0, FMAX), fixed, coord_tol=coord_tol, mc=mc
+    )
+    f = exact.critical_value
+
+    def r_m(x):
+        return r_manual(with_param(fixed, "testing_fraction", x))
+
+    slope = abs(r_m(f + 1e-4) - r_m(f - 1e-4)) / 2e-4
+    half_ci = 0.5 * (point.ci_high - point.ci_low)
+    assert half_ci > 0
+    assert abs(point.critical_value - f) <= coord_tol + half_ci / slope
+    # the closed-form point carries a zero-width interval at its value
+    assert exact.ci_low == exact.ci_high == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mc_points_reproducible_from_coordinates():
@@ -228,6 +254,22 @@ def test_spec_json_round_trip():
     assert again.free_axis == spec.free_axis
     assert again.solve == spec.solve
     assert again.mc == spec.mc
+
+
+def test_spec_json_round_trip_closed_form_manual_target():
+    spec = SweepSpec(
+        target=Target.R_M,
+        fixed=FIG,
+        free_axis=AxisSpec("p", 0.1, 0.9, 3),
+        solve=SolveSpec("testing_fraction", 0.0, FMAX),
+    )
+    text = spec_to_json(spec)
+    assert '"target": "R_M"' in text and '"mc": null' in text
+    again = spec_from_json(text)
+    assert again == spec
+    points = critical_curve(again)
+    assert all(pt.status == "ok" and pt.residual <= 1e-9 for pt in points)
+    assert all(pt.ci_low == pt.ci_high for pt in points)
 
 
 def test_mc_target_requires_settings():
