@@ -41,8 +41,6 @@ from .digital import (
 )
 from .component import (
     EVENT_CAP,
-    ComponentOutcome,
-    DeathCause,
     EventCapExceeded,
     MatrixEstimate,
     NaiveProductEstimate,
@@ -53,7 +51,6 @@ from .component import (
     estimate_offspring_matrix,
     naive_combined_r,
     r_component_combined,
-    simulate_component,
     simulate_components,
 )
 from .epidemic import (

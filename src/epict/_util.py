@@ -13,19 +13,33 @@ import struct
 from concurrent.futures import ProcessPoolExecutor
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(*parts: int) -> int:
     """Fold integer parts into one well-mixed 64-bit value (splitmix64 core)."""
-    h = 0x9E3779B97F4A7C15
+    h = _GOLDEN
     for p in parts:
         h = (h + (p & _MASK64)) & _MASK64
         h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
+        h = (h * _MIX1) & _MASK64
         h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & _MASK64
+        h = (h * _MIX2) & _MASK64
         h ^= h >> 31
     return h
+
+
+def mix64_array(z):
+    """The splitmix64 finaliser of :func:`mix64`, in place on a uint64 numpy
+    array, whose arithmetic wraps mod 2**64."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
 
 
 def float_key(x: float) -> int:

@@ -17,24 +17,35 @@ while *new* components are born outside it at rate ``l*beta*pi*(1-p)``
 birth rates integrate against the state occupation times, so the mean
 offspring matrix has no known closed form and is estimated by simulation.
 The estimator replaces each Poisson birth count by its conditional mean,
-the birth rate times the occupation time (a Rao-Blackwellisation), so only
-the jump chain and its holding times are sampled.
+the birth rate times the occupation time, and each holding time by its
+conditional mean 1/total rate given the jump chain (both
+Rao-Blackwellisations).  So only the jump chain is sampled, one uniform per
+jump, and a state (k, l) held before a jump adds k/total and l/total to the
+occupation integrals.
 
-Replicate RNG streams are derived from (seed, root type, replicate index)
-only, which makes every estimate bit-identical regardless of the worker
-count used to run it.
+Replicates run in lockstep: a block of them advances one jump per step in
+NumPy arrays, and those that die or reach the event cap leave the live set.
+Once fewer than a handful are left, a scalar loop finishes each one with the
+same float expressions, because per-step array overhead would otherwise
+dominate small estimates.  Replicate ``i``'s draws are the splitmix64
+sequence seeded with a key hashed from (seed, root type, i), draw ``j``
+being the hash of the key plus ``j+1`` golden-ratio increments (a
+counter-based stream, computed in wrapping uint64).  Every replicate can
+therefore be recomputed alone, and every estimate is bit-identical for any
+worker count and any split of the work.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import chunk_ranges, map_ordered, mix64
+from ._util import (
+    _GOLDEN, _MASK64, _MIX1, _MIX2, chunk_ranges, map_ordered, mix64, mix64_array,
+)
 from .digital import (
     DivergentSeries,
     OffspringMatrix,
@@ -45,8 +56,12 @@ from .digital import (
 from .params import Params, r0
 
 EVENT_CAP = 10**7
-_CHUNK = 25_000
+_BLOCK = 32768          # replicates per lockstep block: bounds the working set
+_CHUNK = 2 * _BLOCK     # replicates per task; more than one task uses processes
+_TAIL = 32              # live replicates below which the scalar loop is cheaper
 _MAX_CAPPED_FRACTION = 0.001
+
+_UNIT = 2.0**-53  # a draw's top 53 bits times this is uniform on [0, 1)
 
 
 class RootType(enum.Enum):
@@ -56,96 +71,8 @@ class RootType(enum.Enum):
     NON_APP = 2
 
 
-class DeathCause(enum.Enum):
-    ALL_RECOVERED = "all-recovered"
-    DIAGNOSED = "diagnosed"
-    EVENT_CAP_HIT = "event-cap-hit"
-
-
 class EventCapExceeded(RuntimeError):
     """Too many replicates hit the per-component event cap."""
-
-
-@dataclass(frozen=True)
-class ComponentOutcome:
-    """Everything recorded from one simulated component."""
-
-    jumps: int
-    app_exposure: float     # time integral of k
-    nonapp_exposure: float  # time integral of l
-    ever_infected_app: int
-    death_cause: DeathCause
-
-
-def simulate_component(
-    root: RootType,
-    params: Params,
-    rng: random.Random,
-    cap: int = EVENT_CAP,
-) -> ComponentOutcome:
-    """Exact event-driven simulation of one component until it dies out.
-
-    Births of new components do not change the component, so they are not
-    sampled; the occupation times of k and l, which the offspring means
-    integrate against, are accumulated instead.
-    """
-    beta, gamma, delta = params.beta, params.gamma, params.delta
-    pi, p = params.pi, params.p
-    k = 1 if root is RootType.APP else 0
-    l = 1 - k
-    grow_app_k = beta * pi          # per infectious app-user
-    grow_app_l = beta * pi * p      # per infectious non-app-user
-    grow_non = beta * (1.0 - pi) * p
-
-    jumps = 0
-    app_exposure = 0.0
-    nonapp_exposure = 0.0
-    ever_app = k
-    cause = DeathCause.ALL_RECOVERED
-    uniform = rng.random
-    expovariate = rng.expovariate
-
-    while k or l:
-        if jumps >= cap:
-            cause = DeathCause.EVENT_CAP_HIT
-            break
-        kl = k + l
-        r_ga = k * grow_app_k + l * grow_app_l
-        r_ra = k * gamma
-        r_gn = kl * grow_non
-        r_rn = l * gamma
-        r_kill = kl * delta
-        total = r_ga + r_ra + r_gn + r_rn + r_kill
-        tau = expovariate(total)
-        app_exposure += k * tau
-        nonapp_exposure += l * tau
-        u = uniform() * total
-        jumps += 1
-        if u < r_ga:
-            k += 1
-            ever_app += 1
-        elif u < r_ga + r_ra:
-            k -= 1
-        elif u < r_ga + r_ra + r_gn:
-            l += 1
-        elif u < r_ga + r_ra + r_gn + r_rn:
-            l -= 1
-        else:
-            k = 0
-            l = 0
-            cause = DeathCause.DIAGNOSED
-    return ComponentOutcome(
-        jumps=jumps,
-        app_exposure=app_exposure,
-        nonapp_exposure=nonapp_exposure,
-        ever_infected_app=ever_app,
-        death_cause=cause,
-    )
-
-
-def replicate_seed(seed: int, root: RootType, index: int) -> int:
-    """Seed of the RNG stream for one replicate; pure in (seed, root, index)."""
-    return mix64(seed, root.value, index)
 
 
 def component_growth_bound(params: Params) -> float:
@@ -187,24 +114,114 @@ class ComponentSamples:
     capped: int
 
 
+def _finish(key, k, l, ae, ne, ev, jumps, cap, rates):
+    """Run one replicate from state (k, l) after ``jumps`` jumps to its end.
+
+    The scalar twin of the lockstep step in :func:`_run_block`: the same
+    draw and the same float expressions, so the outputs are bit-identical.
+    Returns (jumps, app exposure, non-app exposure, ever app, capped).
+    """
+    grow_app_k, grow_app_l, gamma, grow_non, delta = rates
+    while k or l:
+        if jumps >= cap:
+            return jumps, ae, ne, ev, True
+        z = (key + (jumps + 1) * _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        u = ((z ^ (z >> 31)) >> 11) * _UNIT
+        t1 = k * grow_app_k + l * grow_app_l
+        t2 = t1 + k * gamma
+        kl = k + l
+        t3 = t2 + kl * grow_non
+        t4 = t3 + l * gamma
+        total = t4 + kl * delta
+        ae += k / total
+        ne += l / total
+        u *= total
+        jumps += 1
+        if u < t1:
+            k += 1.0
+            ev += 1.0
+        elif u < t2:
+            k -= 1.0
+        elif u < t3:
+            l += 1.0
+        elif u < t4:
+            l -= 1.0
+        else:
+            k = l = 0.0
+    return jumps, ae, ne, ev, False
+
+
+def _run_block(keys, app_root, rates, cap, out) -> int:
+    """Simulate the replicates keyed by ``keys`` in lockstep; write their
+    records into the ``out`` arrays and return how many hit ``cap``."""
+    grow_app_k, grow_app_l, gamma, grow_non, delta = rates
+    n = keys.size
+    idx = np.arange(n)
+    # rows: k, l, app exposure, non-app exposure, app-users ever infected
+    state = np.zeros((5, n))
+    state[0 if app_root else 1] = 1.0
+    state[4] = state[0]
+    jumps = 0
+    while idx.size >= _TAIL and jumps < cap:
+        k, l, ae, ne, ev = state
+        u = mix64_array(keys + ((jumps + 1) * _GOLDEN & _MASK64)) >> 11
+        u = u * _UNIT
+        t1 = k * grow_app_k + l * grow_app_l
+        t2 = t1 + k * gamma
+        kl = k + l
+        t3 = t2 + kl * grow_non
+        t4 = t3 + l * gamma
+        total = t4 + kl * delta
+        ae += k / total
+        ne += l / total
+        u *= total
+        c1 = u < t1
+        c2 = u < t2
+        c3 = u < t3
+        c4 = u < t4
+        ev += c1
+        k += c1
+        k -= c1 ^ c2
+        l += c2 ^ c3
+        l -= c3 ^ c4
+        k *= c4
+        l *= c4
+        jumps += 1
+        live = np.add(k, l, out=kl) > 0.0
+        if not live.all():
+            dead = ~live
+            gone = idx[dead]
+            out[0][gone] = jumps
+            for row in range(1, 4):
+                out[row][gone] = state[row + 1, dead]
+            idx, keys, state = idx[live], keys[live], state[:, live]
+    capped = 0
+    for i, (key, (k, l, ae, ne, ev)) in enumerate(zip(keys.tolist(), state.T.tolist())):
+        *record, hit = _finish(key, k, l, ae, ne, ev, jumps, cap, rates)
+        for row, value in zip(out, record):
+            row[idx[i]] = value
+        capped += hit
+    return capped
+
+
 def _simulate_chunk(args) -> tuple:
-    (beta, gamma, delta, pi, p, n), root_value, seed, start, count, cap = args
-    params = Params(beta, gamma, delta, pi, p, n)
-    root = RootType(root_value)
-    jumps = np.empty(count)
+    rates, root_value, seed, start, count, cap = args
+    jumps = np.empty(count, dtype=np.int64)
     ae = np.empty(count)
     ne = np.empty(count)
-    ev = np.empty(count)
+    ev = np.empty(count, dtype=np.int64)
+    base = mix64(seed, root_value)
     capped = 0
-    for i in range(count):
-        rng = random.Random(replicate_seed(seed, root, start + i))
-        out = simulate_component(root, params, rng, cap)
-        jumps[i] = out.jumps
-        ae[i] = out.app_exposure
-        ne[i] = out.nonapp_exposure
-        ev[i] = out.ever_infected_app
-        if out.death_cause is DeathCause.EVENT_CAP_HIT:
-            capped += 1
+    for first, size in chunk_ranges(count, _BLOCK):
+        # key of replicate i: mix64(seed, root, i), its last fold vectorised
+        keys = mix64_array(np.arange(start + first, start + first + size, dtype=np.uint64) + base)
+        block = slice(first, first + size)
+        capped += _run_block(
+            keys, root_value == RootType.APP.value, rates, cap,
+            (jumps[block], ae[block], ne[block], ev[block]),
+        )
     return jumps, ae, ne, ev, capped
 
 
@@ -218,6 +235,11 @@ def simulate_components(
 ) -> ComponentSamples:
     """Simulate independent component replicates rooted at ``root``.
 
+    Each record is the replicate's jump count (``cap`` if it hit the cap),
+    its conditional-mean occupation integrals of k and l, and the number of
+    app-users it ever held.  Work is split into fixed chunks of replicates;
+    with ``workers > 1`` and more than one chunk, chunks run in processes.
+
     Raises DivergentSeries without simulating when delta = 0 and the
     component's own growth is supercritical: such components survive forever
     with positive probability and their mean offspring integrals diverge.
@@ -229,9 +251,10 @@ def simulate_components(
             "component offspring means diverge: delta = 0 and the "
             "within-component growth bound is nonnegative"
         )
-    ptuple = (params.beta, params.gamma, params.delta, params.pi, params.p, params.n)
+    beta, pi, p = params.beta, params.pi, params.p
+    rates = (beta * pi, beta * pi * p, params.gamma, beta * (1.0 - pi) * p, params.delta)
     tasks = [
-        (ptuple, root.value, seed, start, count, cap)
+        (rates, root.value, seed, start, count, cap)
         for start, count in chunk_ranges(replicates, _CHUNK)
     ]
     parts = map_ordered(_simulate_chunk, tasks, workers)

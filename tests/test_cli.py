@@ -182,6 +182,40 @@ def test_table2_strict_exit_code(capsys):
     assert ("fail" in text) == (code == 1)
 
 
+def _strict_json(text):
+    """Parse as strict JSON: NaN and Infinity are not JSON."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_absent_major_size_is_null_and_inconclusive(capsys, tmp_path):
+    # the subcritical R_DM row has no major outbreak in 20 runs, so no size
+    out = tmp_path / "t.json"
+    code, text, _ = run_cli(
+        capsys, "table2", "--runs", "20", "--replicates", "2000", "--seed", "4",
+        "--threads", "1", "--format", "json", "--out", str(out),
+    )
+    assert code == 0
+    combined = _strict_json(out.read_text())["rows"][3]
+    assert combined["label"] == "R_DM"
+    assert combined["major_fraction"] == 0.0
+    assert combined["mean_major_size"] is None
+    assert combined["size_flag"] == "inconclusive"
+    assert "nan" not in text
+    # the epidemic summary file writes the absent size as null as well
+    out = tmp_path / "runs.csv"
+    code, text, _ = run_cli(
+        capsys, "epidemic", "--beta", "0.01", "--runs", "20", "--n", "500",
+        "--seed", "4", "--threads", "1", "--out", str(out),
+    )
+    assert code == 0
+    summary = _strict_json((tmp_path / "runs.summary.json").read_text())
+    assert summary["major_fraction"] == 0.0
+    assert summary["mean_major_size"] is None and summary["major_size_se"] is None
+    assert "mean major size = n/a" in text
+
+
 def test_config_precedence_flags_over_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"pi": 0.0}, "seed": 1}))

@@ -6,18 +6,18 @@ component is the manual-tracing cluster, which is the same jump process as
 the app cluster with the app fraction replaced by the manual probability;
 that reparameterisation gives an independent series value for R_M.  With
 both kinds of tracing, a sparse linear solve of the component chain on a
-truncated (k, l) lattice gives the exact occupation integrals.
+truncated (k, l) lattice gives the exact occupation integrals.  A scalar
+simulator on the same counter-based streams is the reference the lockstep
+engine must reproduce bit for bit.
 """
 
 import dataclasses
 import math
-import random
 
 import numpy as np
 import pytest
 
 from epict import (
-    DeathCause,
     DivergentSeries,
     EventCapExceeded,
     Params,
@@ -30,9 +30,9 @@ from epict import (
     r0,
     r_component_combined,
     r_component_digital,
-    simulate_component,
     simulate_components,
 )
+from epict.component import _CHUNK
 
 from conftest import WORKERS
 
@@ -46,6 +46,85 @@ def manual_r_by_series(beta, gamma, delta, p) -> float:
     exported-infection mean is the closed-form m12.
     """
     return offspring_matrix_digital(Params(beta, gamma, delta, p, 0.0, 1)).m12
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def stream_key(seed, root, index):
+    """Key of replicate ``index``'s stream: splitmix64 folds of its parts."""
+    h = _GOLDEN
+    for part in (seed, root.value, index):
+        h = _splitmix64((h + (part & _MASK)) & _MASK)
+    return h
+
+
+def scalar_component(params, root, seed, index, cap=10**7):
+    """One replicate, simulated alone, one jump at a time.
+
+    Draw j of the replicate is the splitmix64 output for the key plus
+    (j+1) golden-ratio increments; the holding time before each jump counts
+    as its conditional mean 1/total.  Returns the record that
+    ``simulate_components`` stores (jumps, app exposure, non-app exposure,
+    app-users ever infected) and the way the component ended.
+    """
+    key = stream_key(seed, root, index)
+    b, g, d, pi, p = params.beta, params.gamma, params.delta, params.pi, params.p
+    k = 1.0 if root is RootType.APP else 0.0
+    l = 1.0 - k
+    ae = ne = 0.0
+    ever_app = int(k)
+    jumps = 0
+    cause = "all-recovered"
+    while k or l:
+        if jumps >= cap:
+            cause = "event-cap-hit"
+            break
+        u = (_splitmix64((key + (jumps + 1) * _GOLDEN) & _MASK) >> 11) * 2.0**-53
+        t1 = k * (b * pi) + l * (b * pi * p)
+        t2 = t1 + k * g
+        kl = k + l
+        t3 = t2 + kl * (b * (1.0 - pi) * p)
+        t4 = t3 + l * g
+        total = t4 + kl * d
+        ae += k / total
+        ne += l / total
+        u *= total
+        jumps += 1
+        if u < t1:
+            k += 1
+            ever_app += 1
+        elif u < t2:
+            k -= 1
+        elif u < t3:
+            l += 1
+        elif u < t4:
+            l -= 1
+        else:
+            k = l = 0.0
+            cause = "diagnosed"
+    return (jumps, ae, ne, ever_app), cause
+
+
+def assert_matches_scalar(params, root, replicates, seed, cap=10**7):
+    """Batch records equal the scalar simulator's, replicate by replicate;
+    returns the batch and the scalar causes of death."""
+    s = simulate_components(params, root, replicates, seed, cap=cap)
+    causes = []
+    for i in range(replicates):
+        record, cause = scalar_component(params, root, seed, i, cap)
+        got = (s.jumps[i], s.app_exposure[i], s.nonapp_exposure[i], s.ever_infected_app[i])
+        assert got == record, (i, got, record)
+        causes.append(cause)
+    assert s.capped == causes.count("event-cap-hit")
+    return s, causes
 
 
 def lattice_offspring_matrix(params, K):
@@ -109,35 +188,44 @@ def test_no_births_when_tracing_is_certain():
 
 def test_app_root_without_manual_tracing_stays_app_only():
     p = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 0.0, 1)
-    rng = random.Random(11)
-    for _ in range(300):
-        out = simulate_component(RootType.APP, p, rng)
-        assert out.nonapp_exposure == 0.0
+    s = simulate_components(p, RootType.APP, 300, seed=11)
+    assert np.all(s.nonapp_exposure == 0.0)
+    assert np.all(s.app_exposure > 0.0) and np.all(s.ever_infected_app >= 1)
 
 
 def test_death_causes():
-    rng = random.Random(3)
+    # the batch keeps no cause of death; the scalar simulator, which
+    # reproduces every record, tells how each component ended
     heavy_testing = Params(0.2, 1 / 7, 5.0, 0.5, 0.5, 1)
-    causes = {simulate_component(RootType.APP, heavy_testing, rng).death_cause
-              for _ in range(200)}
-    assert DeathCause.DIAGNOSED in causes
+    _, causes = assert_matches_scalar(heavy_testing, RootType.APP, 200, seed=3)
+    assert "diagnosed" in causes
     no_testing = Params(0.05, 1.0, 0.0, 0.5, 0.1, 1)
-    causes = {simulate_component(RootType.APP, no_testing, rng).death_cause
-              for _ in range(200)}
-    assert causes == {DeathCause.ALL_RECOVERED}
+    _, causes = assert_matches_scalar(no_testing, RootType.APP, 200, seed=3)
+    assert set(causes) == {"all-recovered"}
+
+
+@pytest.mark.parametrize("root", list(RootType))
+@pytest.mark.parametrize("replicates", [12, 3000])
+def test_scalar_simulator_reproduces_batch(table2_params, root, replicates):
+    # 12 replicates run in the scalar tail alone; 3000 start in lockstep
+    assert_matches_scalar(table2_params, root, replicates, seed=17)
 
 
 def test_event_cap_outcome_and_estimator_failure():
     # supercritical within-component growth and delta=0: never dies
     p = Params(2.0, 1 / 7, 0.0, 1.0, 0.0, 1)
-    out = simulate_component(RootType.APP, p, random.Random(1), cap=64)
-    assert out.death_cause is DeathCause.EVENT_CAP_HIT
+    assert scalar_component(p, RootType.APP, 1, 0, cap=64)[1] == "event-cap-hit"
     assert not component_dies_out(p)
     with pytest.raises(DivergentSeries):
         simulate_components(p, RootType.APP, 100, seed=1)
-    # barely-dying case: delta > 0 passes the guard but a tiny cap trips the
-    # capped-fraction limit in the estimator
+    # barely-dying case: delta > 0 passes the guard; capped replicates stop
+    # at exactly ``cap`` jumps, in lockstep and in the scalar tail alike
     q = Params(2.0, 1 / 7, 1e-4, 1.0, 0.0, 1)
+    for replicates in (10, 400):
+        s, causes = assert_matches_scalar(q, RootType.APP, replicates, seed=1, cap=64)
+        assert s.capped > 0
+        assert all(j == 64 for j, c in zip(s.jumps, causes) if c == "event-cap-hit")
+    # a tiny cap trips the capped-fraction limit in the estimator
     with pytest.raises(EventCapExceeded):
         estimate_offspring_matrix(q, 200, seed=2, cap=200)
 
@@ -210,16 +298,35 @@ def test_determinism_across_worker_counts():
     assert one == two
 
 
-def test_replicate_streams_keyed_by_index():
-    # swapping the order in which chunks run cannot matter: each replicate's
-    # stream is a pure function of (seed, root, index)
-    from epict.component import replicate_seed
+def test_determinism_across_chunks_and_workers(table2_params):
+    # several chunks, so workers=2 really runs them in processes
+    replicates = 2 * _CHUNK + 5_000
+    for root in RootType:
+        one = simulate_components(table2_params, root, replicates, seed=19, workers=1)
+        two = simulate_components(table2_params, root, replicates, seed=19, workers=2)
+        assert one.capped == two.capped
+        for field in ("jumps", "app_exposure", "nonapp_exposure", "ever_infected_app"):
+            assert np.array_equal(getattr(one, field), getattr(two, field))
+    one = r_component_combined(table2_params, replicates, seed=19, workers=1)
+    two = r_component_combined(table2_params, replicates, seed=19, workers=2)
+    assert one == two
 
-    s1 = replicate_seed(123, RootType.APP, 5)
-    s2 = replicate_seed(123, RootType.APP, 6)
-    s3 = replicate_seed(123, RootType.NON_APP, 5)
-    assert len({s1, s2, s3}) == 3
-    assert replicate_seed(123, RootType.APP, 5) == s1
+
+def test_replicate_streams_keyed_by_index(table2_params):
+    # each replicate's stream is a pure function of (seed, root, index): a
+    # shorter run is a prefix of a longer one, across chunk boundaries too
+    long = simulate_components(table2_params, RootType.NON_APP, _CHUNK + 3_000, seed=123)
+    short = simulate_components(table2_params, RootType.NON_APP, _CHUNK + 7, seed=123)
+    for field in ("jumps", "app_exposure", "nonapp_exposure", "ever_infected_app"):
+        assert np.array_equal(getattr(long, field)[: _CHUNK + 7], getattr(short, field))
+    # and recomputes alone from those three numbers
+    for i in (0, 5, _CHUNK + 2_999):
+        record, _ = scalar_component(table2_params, RootType.NON_APP, 123, i)
+        assert record == (long.jumps[i], long.app_exposure[i],
+                          long.nonapp_exposure[i], long.ever_infected_app[i])
+    keys = {stream_key(123, RootType.APP, 5), stream_key(123, RootType.APP, 6),
+            stream_key(123, RootType.NON_APP, 5)}
+    assert len(keys) == 3
 
 
 def percentile_bootstrap(rows, resamples=1000, blocks=1000, seed=0):
@@ -335,6 +442,5 @@ def test_manual_r_shape_in_p_at_half_testing(figure_params):
 
 def test_jumps_floor():
     p = Params(0.8, 1 / 7, 1 / 7, 0.5, 0.5, 1)
-    rng = random.Random(123)
-    for _ in range(100):
-        assert simulate_component(RootType.NON_APP, p, rng).jumps >= 1
+    s = simulate_components(p, RootType.NON_APP, 100, seed=123)
+    assert s.jumps.min() >= 1

@@ -1,0 +1,38 @@
+"""Smoke runs of the closed-form and Monte Carlo demos as scripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, timeout=300, env=env, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("name, headlines", [
+    ("01_reproduction_numbers.py",
+     ["baseline (no tracing):  R_0 = 2.8", "cluster-level  R_D = 2.1996",
+      "individual     R_D = 1.6823"]),
+    ("02_combined_tracing_monte_carlo.py",
+     ["combined R_DM = 0.9", "independence guess R_0(1-r_M)(1-r_D) = 1.1",
+      "combined tracing is subcritical even though the independence product "
+      "predicts supercritical"]),
+])
+def test_demo_runs(name, headlines):
+    out = run_demo(name)
+    for line in headlines:
+        assert line in out
