@@ -1,7 +1,7 @@
 """Reproduction numbers and outbreak simulation for Markovian SIR epidemics
 with digital (app-based) and manual contact tracing.
 
-The package has four layers:
+The package has five layers:
 
 * :mod:`epict.params`    -- validated model parameters and the baseline
   reproduction number ``beta / (gamma + delta)``.
@@ -10,7 +10,8 @@ The package has four layers:
 * :mod:`epict.component` -- Monte Carlo estimation of the combined
   digital + manual model's offspring matrix and reproduction number.
 * :mod:`epict.epidemic`  -- finite-population event-driven simulation with
-  instant recursive tracing, for outbreak-size ensembles.
+  instant recursive tracing on to-be-traced component labels, for
+  outbreak-size ensembles.
 * :mod:`epict.sweep`     -- critical curves, heatmaps and figure datasets on
   top of the other layers.
 """
@@ -37,7 +38,6 @@ from .digital import (
     r_individual_digital,
     r_manual,
     spectral_radius_2x2,
-    tail_prob_jumps,
 )
 from .component import (
     EVENT_CAP,
@@ -60,7 +60,6 @@ from .epidemic import (
     EnsembleSummary,
     EpidemicOutcome,
     EpidemicRecords,
-    TransmissionRecord,
     ensemble_outcomes,
     run_ensemble,
     run_epidemic,

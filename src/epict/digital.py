@@ -73,36 +73,6 @@ def _walk_steps(params: Params) -> tuple[float, float, float]:
     return bp / total, params.gamma / total, params.delta / total
 
 
-def tail_prob_jumps(k: int, params: Params) -> float:
-    """P(an app-user cluster makes more than ``k`` jumps before dying out).
-
-    Equals s^k times the probability that the underlying birth/death walk
-    started from one member is not yet absorbed at zero after k steps, where
-    s is the per-jump probability that the step is not a kill.  The walk
-    absorption mass at odd step 2j-1 is a Catalan-weighted binomial term;
-    binomials are evaluated in log space so large j cannot overflow.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if params.pi == 0.0 or params.beta == 0.0:
-        # a cluster with no app-side growth makes exactly one jump
-        return 0.0
-    bp = params.beta * params.pi
-    survive = (bp + params.gamma) / (bp + params.gamma + params.delta)
-    log_up = math.log(bp / (bp + params.gamma))
-    log_down = math.log(params.gamma / (bp + params.gamma))
-    absorbed = 0.0
-    for j in range(1, k // 2 + 2):  # j ranges over odd absorption times 2j-1 <= k
-        if 2 * j - 1 > k:
-            break
-        log_binom = math.lgamma(2 * j) - math.lgamma(j + 1) - math.lgamma(j)
-        absorbed += math.exp(
-            log_binom - math.log(2 * j - 1) + (j - 1) * log_up + j * log_down
-        )
-    alive = max(0.0, 1.0 - absorbed)
-    return alive * survive**k
-
-
 def expected_jumps(params: Params) -> float:
     """Mean number of jumps an app-user cluster makes before dying out.
 
@@ -116,8 +86,7 @@ def expected_jumps(params: Params) -> float:
         E[J] = phi/s + d/D + a*d*(1 + phi + phi/s) / D^2.
 
     The mean is finite iff ``delta > 0`` or ``beta*pi < gamma``; otherwise
-    the cluster has a positive chance of growing forever.  It equals
-    ``1 + sum(tail_prob_jumps(k) for k >= 1)``.
+    the cluster has a positive chance of growing forever.
 
     Raises:
         DivergentSeries: if the mean is infinite.

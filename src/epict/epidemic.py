@@ -3,13 +3,24 @@
 Events are drawn from aggregate rates (infection ``beta*I*S/n``, recovery
 ``gamma*I``, diagnosis ``delta*I``), which has exactly the same law as the
 per-pair Poisson construction but costs O(1) bookkeeping per event.  Each
-infection records its infector, an app-usage flag (Bernoulli(pi)) and a
+infection draws the infectee's app-usage flag (Bernoulli(pi)) and a
 manual-trace flag for the new transmission edge (Bernoulli(p), fixed at
-infection time).  When anyone is diagnosed, the tracing closure executes
-atomically before simulated time advances: every transmission-tree edge whose
-endpoints are both app-users, or whose manual flag is set, is followed in
-both directions, and every reached individual who is infectious *or already
-naturally recovered* is diagnosed and expanded in turn.
+infection time).  An edge is traceable iff both endpoints are app-users or
+its manual flag is set.  When anyone is diagnosed, tracing runs atomically
+before simulated time advances: every traceable edge is followed in both
+directions, and every reached individual who is infectious *or already
+naturally recovered* is diagnosed and traced onward (:func:`trace_closure`).
+
+The simulator does not walk the transmission tree.  It labels each infectee
+with its *to-be-traced component*: the infector's component if the new edge
+is traceable, otherwise a fresh one.  A component only gains members through
+a live infector, and the first diagnosis in it reaches every member, so a
+component is either wholly undiagnosed or wholly diagnosed and the recursive
+closure of any diagnosee is exactly its component.  A diagnosis therefore
+removes every still-infectious member of the diagnosee's component, in
+infection order (the ascending-id order the closure would be applied in).
+:class:`EpidemicRecords` and :func:`trace_closure` state the tracing rule on
+an explicit transmission tree.
 
 Traced-but-susceptible individuals do not exist here (only transmission
 edges are recorded), and contacts that did not transmit are not traceable.
@@ -20,7 +31,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from ._util import chunk_ranges, map_ordered, mix64, wilson_interval
 from .params import InvalidParams, Params
@@ -29,18 +39,7 @@ INFECTIOUS = 0
 RECOVERED = 1
 DIAGNOSED = 2
 
-_STATE_NAMES = {INFECTIOUS: "infectious", RECOVERED: "recovered", DIAGNOSED: "diagnosed"}
 _RUN_TAG = 0xE51D
-
-
-class TransmissionRecord(NamedTuple):
-    """Read-only view of one infected individual's metadata."""
-
-    id: int
-    infector_id: int | None
-    is_app_user: bool
-    manual_edge: bool
-    state: int
 
 
 class EpidemicRecords:
@@ -66,16 +65,6 @@ class EpidemicRecords:
         if infector >= 0:
             self.children[infector].append(vid)
         return vid
-
-    def record(self, vid: int) -> TransmissionRecord:
-        inf = self.infector[vid]
-        return TransmissionRecord(
-            id=vid,
-            infector_id=None if inf < 0 else inf,
-            is_app_user=self.is_app[vid],
-            manual_edge=self.manual_edge[vid],
-            state=self.state[vid],
-        )
 
     def __len__(self) -> int:
         return len(self.state)
@@ -124,18 +113,12 @@ class EpidemicOutcome:
     duration: float
 
 
-def run_epidemic(
-    params: Params,
-    seed: int,
-    return_records: bool = False,
-    debug_checks: bool = False,
-):
+def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
     """Simulate one epidemic to extinction of the infectious set.
 
-    The index case's app flag is Bernoulli(pi) like everyone else's.  With
-    ``return_records`` the transmission tree is returned alongside the
-    outcome; ``debug_checks`` re-verifies the population conservation law and
-    the tracing fixed point after every diagnosis event (slow, for tests).
+    The index case's app flag is Bernoulli(pi) like everyone else's.  Every
+    infection draws the infectee's app flag and then the edge's manual flag,
+    whether or not the app flag already makes the edge traceable.
     """
     if params.n < 2:
         raise InvalidParams("epidemic simulation needs n >= 2")
@@ -146,9 +129,9 @@ def run_epidemic(
     beta_over_n = params.beta / n
     gamma, delta, pi, p = params.gamma, params.delta, params.pi, params.p
 
-    records = EpidemicRecords()
-    records.add(-1, uniform() < pi, False)
-    state, is_app = records.state, records.is_app
+    is_app = [uniform() < pi]
+    component = [0]      # id -> component label
+    members = [[0]]      # label -> member ids in infection order
     infectious = [0]
     slot = {0: 0}  # id -> position in the infectious list
     susceptible = n - 1
@@ -176,7 +159,17 @@ def run_epidemic(
         u = uniform() * total
         if u < rate_inf:
             src = infectious[int(uniform() * infectious_count)]
-            vid = records.add(src, uniform() < pi, uniform() < p)
+            app = uniform() < pi
+            manual = uniform() < p
+            vid = len(component)
+            if manual or (app and is_app[src]):
+                label = component[src]
+                members[label].append(vid)
+            else:
+                label = len(members)
+                members.append([vid])
+            is_app.append(app)
+            component.append(label)
             slot[vid] = infectious_count
             infectious.append(vid)
             infectious_count += 1
@@ -184,56 +177,20 @@ def run_epidemic(
             if infectious_count > peak:
                 peak = infectious_count
         elif u < rate_inf + rate_rec:
-            vid = infectious[int(uniform() * infectious_count)]
-            state[vid] = RECOVERED
-            discard(vid)
+            discard(infectious[int(uniform() * infectious_count)])
         else:
-            vid = infectious[int(uniform() * infectious_count)]
-            if p == 0.0 and not is_app[vid]:
-                # no manual flag is ever set and the diagnosee is off the
-                # app, so no edge of it is traceable: the closure is {vid}
-                state[vid] = DIAGNOSED
-                discard(vid)
-            else:
-                # sorted so the infectious-list layout (swap-pop order) never
-                # depends on set iteration order
-                for traced in sorted(trace_closure(vid, records)):
-                    if traced in slot:
-                        discard(traced)
-            if debug_checks:
-                _assert_invariants(records, susceptible, infectious_count, n)
+            label = component[infectious[int(uniform() * infectious_count)]]
+            for vid in members[label]:
+                if vid in slot:
+                    discard(vid)
+            members[label] = None  # wholly diagnosed: it never grows again
 
-    outcome = EpidemicOutcome(
-        final_size=len(records),
+    return EpidemicOutcome(
+        final_size=len(component),
         peak_infectious=peak,
         event_count=events,
         duration=now,
     )
-    return (outcome, records) if return_records else outcome
-
-
-def _assert_invariants(records: EpidemicRecords, susceptible, infectious_count, n):
-    state = records.state
-    live = sum(1 for s in state if s == INFECTIOUS)
-    removed = len(state) - live
-    if live != infectious_count or susceptible + live + removed != n:
-        raise AssertionError("population conservation violated")
-    _assert_closure_fixed_point(records)
-
-
-def _assert_closure_fixed_point(records: EpidemicRecords) -> None:
-    """No diagnosed individual may have an untraced traceable live neighbour."""
-    state, is_app = records.state, records.is_app
-    for v in range(len(records)):
-        if state[v] != DIAGNOSED:
-            continue
-        u = records.infector[v]
-        if u >= 0 and state[u] != DIAGNOSED:
-            if (is_app[v] and is_app[u]) or records.manual_edge[v]:
-                raise AssertionError(f"traceable infector {u} of {v} left untraced")
-        for c in records.children[v]:
-            if state[c] != DIAGNOSED and ((is_app[v] and is_app[c]) or records.manual_edge[c]):
-                raise AssertionError(f"traceable infectee {c} of {v} left untraced")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -32,6 +33,10 @@ class Params:
 
     def __post_init__(self):
         problems = []
+        for name in ("beta", "gamma", "delta"):
+            # NaN fails every comparison below, so it must be caught here
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite")
         if self.beta < 0:
             problems.append("beta negative")
         if self.gamma <= 0:

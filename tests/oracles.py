@@ -1,0 +1,134 @@
+"""Reference implementations that the package is checked against.
+
+``tail_prob_jumps`` is the jump-count tail of an app-user cluster as a
+Catalan-weighted sum; ``digital.expected_jumps`` must equal one plus its sum.
+
+``run_epidemic_tree`` is the outbreak simulator on an explicit transmission
+tree.  It draws exactly what ``epict.run_epidemic`` draws, in the same
+order, but records every infection in :class:`EpidemicRecords` and
+applies each diagnosis through the recursive :func:`trace_closure`.  The
+production simulator's component labels must reproduce its outcomes bit for
+bit.  ``debug_checks`` re-verifies population conservation and the tracing
+fixed point after every diagnosis.
+"""
+
+import math
+import random
+
+from epict import DIAGNOSED, INFECTIOUS, RECOVERED, EpidemicOutcome, EpidemicRecords, Params
+from epict.epidemic import trace_closure
+
+
+def tail_prob_jumps(k: int, params: Params) -> float:
+    """P(an app-user cluster makes more than ``k`` jumps before dying out).
+
+    Equals s^k times the probability that the underlying birth/death walk
+    started from one member is not yet absorbed at zero after k steps, where
+    s is the per-jump probability that the step is not a kill.  The walk
+    absorption mass at odd step 2j-1 is a Catalan-weighted binomial term;
+    binomials are evaluated in log space so large j cannot overflow.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if params.pi == 0.0 or params.beta == 0.0:
+        # a cluster with no app-side growth makes exactly one jump
+        return 0.0
+    bp = params.beta * params.pi
+    survive = (bp + params.gamma) / (bp + params.gamma + params.delta)
+    log_up = math.log(bp / (bp + params.gamma))
+    log_down = math.log(params.gamma / (bp + params.gamma))
+    absorbed = 0.0
+    for j in range(1, k // 2 + 2):  # j ranges over odd absorption times 2j-1 <= k
+        if 2 * j - 1 > k:
+            break
+        log_binom = math.lgamma(2 * j) - math.lgamma(j + 1) - math.lgamma(j)
+        absorbed += math.exp(
+            log_binom - math.log(2 * j - 1) + (j - 1) * log_up + j * log_down
+        )
+    alive = max(0.0, 1.0 - absorbed)
+    return alive * survive**k
+
+
+def run_epidemic_tree(params: Params, seed: int, debug_checks: bool = False):
+    """One epidemic to extinction; returns (outcome, transmission tree)."""
+    rng = random.Random(seed)
+    uniform = rng.random
+    expovariate = rng.expovariate
+    n = params.n
+    beta_over_n = params.beta / n
+    gamma, delta, pi, p = params.gamma, params.delta, params.pi, params.p
+
+    records = EpidemicRecords()
+    records.add(-1, uniform() < pi, False)
+    state = records.state
+    infectious = [0]
+    slot = {0: 0}
+    susceptible = n - 1
+    peak = 1
+    events = 0
+    now = 0.0
+
+    def discard(vid):
+        i = slot.pop(vid)
+        last = infectious.pop()
+        if i < len(infectious):
+            infectious[i] = last
+            slot[last] = i
+
+    while infectious:
+        count = len(infectious)
+        rate_inf = beta_over_n * count * susceptible
+        rate_rec = gamma * count
+        total = rate_inf + rate_rec + delta * count
+        now += expovariate(total)
+        events += 1
+        u = uniform() * total
+        if u < rate_inf:
+            src = infectious[int(uniform() * count)]
+            vid = records.add(src, uniform() < pi, uniform() < p)
+            slot[vid] = count
+            infectious.append(vid)
+            susceptible -= 1
+            peak = max(peak, count + 1)
+        elif u < rate_inf + rate_rec:
+            vid = infectious[int(uniform() * count)]
+            state[vid] = RECOVERED
+            discard(vid)
+        else:
+            vid = infectious[int(uniform() * count)]
+            # sorted so the infectious-list layout (swap-pop order) never
+            # depends on set iteration order
+            for traced in sorted(trace_closure(vid, records)):
+                if traced in slot:
+                    discard(traced)
+            if debug_checks:
+                assert_invariants(records, susceptible, len(infectious), n)
+
+    outcome = EpidemicOutcome(
+        final_size=len(records), peak_infectious=peak, event_count=events, duration=now
+    )
+    return outcome, records
+
+
+def assert_invariants(records: EpidemicRecords, susceptible, infectious_count, n):
+    state = records.state
+    live = sum(1 for s in state if s == INFECTIOUS)
+    removed = len(state) - live
+    if live != infectious_count or susceptible + live + removed != n:
+        raise AssertionError("population conservation violated")
+    assert_closure_fixed_point(records)
+
+
+def assert_closure_fixed_point(records: EpidemicRecords) -> None:
+    """No diagnosed individual may have an untraced traceable live neighbour."""
+    state, is_app = records.state, records.is_app
+    for v in range(len(records)):
+        if state[v] != DIAGNOSED:
+            continue
+        u = records.infector[v]
+        if u >= 0 and state[u] != DIAGNOSED:
+            if (is_app[v] and is_app[u]) or records.manual_edge[v]:
+                raise AssertionError(f"traceable infector {u} of {v} left untraced")
+        for c in records.children[v]:
+            if state[c] != DIAGNOSED and ((is_app[v] and is_app[c]) or records.manual_edge[c]):
+                raise AssertionError(f"traceable infectee {c} of {v} left untraced")

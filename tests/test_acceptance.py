@@ -32,14 +32,14 @@ from epict import (
     r_individual_digital,
     run_ensemble,
     run_epidemic,
-    tail_prob_jumps,
     with_param,
 )
 from epict.component import RootType, simulate_components
 from epict.digital import _spectral_radius
-from epict.epidemic import _assert_closure_fixed_point, ensemble_outcomes
+from epict.epidemic import ensemble_outcomes
 
 from conftest import WORKERS
+from oracles import assert_closure_fixed_point, run_epidemic_tree, tail_prob_jumps
 
 RUNS = int(os.environ.get("EPICT_ACCEPT_RUNS", "10000"))
 REPLICATES = int(os.environ.get("EPICT_ACCEPT_REPLICATES", "1000000"))
@@ -536,16 +536,18 @@ def test_criterion_10_determinism_and_invariants():
         lam = _spectral_radius(m11, m12, m21, m22)
         residual = lam * lam - (m11 + m22) * lam + (m11 * m22 - m12 * m21)
         ok_inv &= abs(residual) <= 1e-10 * max(1.0, lam * lam)
-    # conservation and closure fixed point on instrumented runs
+    # conservation and closure fixed point on the transmission-tree oracle,
+    # which the component-label simulator must reproduce bit for bit
+    table2_small = dataclasses.replace(TABLE2, n=300)
     for seed in range(3):
-        run_epidemic(dataclasses.replace(TABLE2, n=300), seed=seed, debug_checks=True)
-        _, rec = run_epidemic(
-            dataclasses.replace(TABLE2, n=300), seed=100 + seed, return_records=True
-        )
-        _assert_closure_fixed_point(rec)
+        out, _ = run_epidemic_tree(table2_small, seed=seed, debug_checks=True)
+        ok_det &= run_epidemic(table2_small, seed) == out
+        out, rec = run_epidemic_tree(table2_small, seed=100 + seed)
+        assert_closure_fixed_point(rec)
+        ok_det &= run_epidemic(table2_small, 100 + seed) == out
     assert report(
         10, ok_det and ok_inv,
-        "bit-identical results across worker counts; matrix identity, tail "
-        "bounds, eigenvalue residual, conservation and closure fixed point "
-        "all hold",
+        "bit-identical results across worker counts and against the "
+        "transmission-tree oracle; matrix identity, tail bounds, eigenvalue "
+        "residual, conservation and closure fixed point all hold",
     )

@@ -242,3 +242,14 @@ def test_unknown_param_key_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analytic", "--config", str(cfg))
     assert code == 1
     assert "unknown parameter key" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("epidemic", "--delta", "nan", "--runs", "3", "--n", "50", "--threads", "1"),
+    ("analytic", "--beta", "nan"),
+])
+def test_non_finite_rate_rejected(capsys, tmp_path, argv):
+    code, text, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"error: {argv[1][2:]} must be finite" in err
+    assert "major fraction" not in text

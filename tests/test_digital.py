@@ -27,11 +27,11 @@ from epict import (
     r_individual_digital,
     simulate_components,
     spectral_radius_2x2,
-    tail_prob_jumps,
 )
 from epict.digital import OffspringMatrix, _spectral_radius
 
 from conftest import WORKERS
+from oracles import tail_prob_jumps
 
 
 def tail_by_enumeration(k: int, beta, gamma, delta, pi) -> Fraction:

@@ -1,4 +1,5 @@
-"""Finite-population simulation: tracing closure, invariants, and theory checks."""
+"""Finite-population simulation: tracing closure, the transmission-tree
+oracle, invariants, and theory checks."""
 
 import dataclasses
 import math
@@ -20,9 +21,10 @@ from epict import (
     summarize_ensemble,
     trace_closure,
 )
-from epict.epidemic import _assert_closure_fixed_point, run_seed
+from epict.epidemic import run_seed
 
 from conftest import WORKERS
+from oracles import assert_closure_fixed_point, run_epidemic_tree
 
 
 def small(n=400, **kw) -> Params:
@@ -53,6 +55,7 @@ def test_closure_isolated_case():
 def test_closure_app_chain_stops_at_untraced_edge():
     # A(app) -> B(app) -> C(non-app, manual False): diagnosing A closes {A, B}
     rec = chain([(True, False), (True, False), (False, False)])
+    assert len(rec) == 3 and rec.infector == [-1, 0, 1]
     assert trace_closure(0, rec) == {0, 1}
     assert rec.state[2] == INFECTIOUS
 
@@ -93,14 +96,6 @@ def test_closure_rejects_already_diagnosed():
         trace_closure(0, rec)
 
 
-def test_records_views():
-    rec = chain([(True, False), (False, True)])
-    r1 = rec.record(1)
-    assert r1.infector_id == 0 and r1.manual_edge and not r1.is_app_user
-    assert rec.record(0).infector_id is None
-    assert len(rec) == 2
-
-
 # --------------------------------------------------------------------------
 # run_epidemic basics
 
@@ -112,19 +107,19 @@ def test_no_transmission_means_single_case():
 
 
 def test_no_diagnosis_means_no_tracing():
-    out, rec = run_epidemic(small(delta=0.0, n=300), seed=2, return_records=True)
+    out, rec = run_epidemic_tree(small(delta=0.0, n=300), seed=2)
     assert all(s != DIAGNOSED for s in rec.state)
     assert out.final_size == len(rec)
 
 
 def test_certain_tracing_kills_whole_tree_component():
     # p=1: the first diagnosis wipes every infected individual so far
-    out, rec = run_epidemic(small(p=1.0, pi=0.0, n=300), seed=3, return_records=True)
+    out, rec = run_epidemic_tree(small(p=1.0, pi=0.0, n=300), seed=3)
     diagnosed = [i for i, s in enumerate(rec.state) if s == DIAGNOSED]
     if diagnosed:
         # all diagnoses happen in atomic closure batches; after the run no
         # two tree-adjacent individuals may be in states (diagnosed, live)
-        _assert_closure_fixed_point(rec)
+        assert_closure_fixed_point(rec)
 
 
 def test_small_n_rejected():
@@ -144,15 +139,15 @@ def test_conservation_and_fixed_point_checks_enabled():
     # debug_checks re-verifies conservation and the closure fixed point
     # after every diagnosis event
     for seed in range(5):
-        run_epidemic(small(n=250), seed=seed, debug_checks=True)
+        run_epidemic_tree(small(n=250), seed=seed, debug_checks=True)
 
 
 def test_closure_fixed_point_on_final_records():
     # states only move toward diagnosed, so the per-event fixed point can be
     # checked on the final tree as well
     for seed in range(5):
-        _, rec = run_epidemic(small(n=250, pi=0.7, p=0.3), seed=seed, return_records=True)
-        _assert_closure_fixed_point(rec)
+        _, rec = run_epidemic_tree(small(n=250, pi=0.7, p=0.3), seed=seed)
+        assert_closure_fixed_point(rec)
 
 
 def test_determinism_per_seed():
@@ -163,9 +158,9 @@ def test_determinism_per_seed():
     assert a != c
 
 
-# (p, pi) -> seed -> (final size, peak, events, duration, diagnosed count),
-# recorded from the simulator that ran the full trace closure on every
-# diagnosis; the untraceable-diagnosis shortcut must reproduce them exactly
+# (p, pi) -> seed -> (final size, peak, events, duration, diagnosed count) at
+# n=5000, recorded from the simulator that ran the full trace closure on
+# every diagnosis
 PINNED_OUTCOMES = {
     (0.0, 0.0): {
         11: (1, 1, 1, 0.7558013378605367, 1),
@@ -177,24 +172,66 @@ PINNED_OUTCOMES = {
         12: (3, 2, 4, 2.06363935080532, 3),
         13: (4120, 768, 7137, 65.12816966410371, 2983),
     },
+    (2 / 3, 0.0): {
+        11: (1, 1, 1, 0.7558013378605367, 1),
+        12: (3, 2, 4, 2.06363935080532, 3),
+        13: (2818, 291, 4244, 62.838549951094414, 2513),
+    },
+    (2 / 3, 2 / 3): {
+        11: (1, 1, 1, 0.7558013378605367, 1),
+        12: (3, 2, 4, 2.06363935080532, 3),
+        13: (84, 22, 114, 18.021397369054835, 77),
+    },
 }
 
 
-@pytest.mark.parametrize("row", sorted(PINNED_OUTCOMES))
-def test_untraceable_rows_pinned(row):
+def assert_pinned(row):
     params = Params(beta=0.8, gamma=1 / 7, delta=1 / 7, pi=row[1], p=row[0], n=5000)
     for seed, want in PINNED_OUTCOMES[row].items():
-        o, rec = run_epidemic(params, seed, return_records=True)
+        o, rec = run_epidemic_tree(params, seed)
         got = (o.final_size, o.peak_infectious, o.event_count, o.duration,
                rec.state.count(DIAGNOSED))
         assert got == want
+        assert dataclasses.astuple(run_epidemic(params, seed)) == want[:4]
+
+
+@pytest.mark.parametrize("row", sorted(PINNED_OUTCOMES)[:2])
+def test_untraceable_rows_pinned(row):
+    assert_pinned(row)
+
+
+@pytest.mark.parametrize("row", sorted(PINNED_OUTCOMES)[2:])
+def test_tracing_rows_pinned(row):
+    assert_pinned(row)
 
 
 def test_index_case_app_flag_follows_pi():
-    _, rec = run_epidemic(small(pi=1.0, beta=0.0), seed=5, return_records=True)
+    _, rec = run_epidemic_tree(small(pi=1.0, beta=0.0), seed=5)
     assert rec.is_app[0]
-    _, rec = run_epidemic(small(pi=0.0, beta=0.0), seed=5, return_records=True)
+    _, rec = run_epidemic_tree(small(pi=0.0, beta=0.0), seed=5)
     assert not rec.is_app[0]
+
+
+# the four outbreak-table rows (p, pi), then certain tracing, no diagnosis
+# and no transmission
+AGREEMENT_ROWS = [
+    dict(p=0.0, pi=0.0),
+    dict(p=0.0, pi=2 / 3),
+    dict(p=2 / 3, pi=0.0),
+    dict(p=2 / 3, pi=2 / 3),
+    dict(p=1.0, pi=1.0),
+    dict(p=2 / 3, pi=2 / 3, delta=0.0),
+    dict(p=2 / 3, pi=2 / 3, beta=0.0),
+]
+
+
+@pytest.mark.parametrize("n, runs", [(300, 120), (5000, 40)])
+def test_component_labels_reproduce_tree_oracle(n, runs):
+    # 7 * (120 + 40) = 1120 runs in all, compared on every outcome field
+    for row in AGREEMENT_ROWS:
+        params = small(n=n, **row)
+        want = [run_epidemic_tree(params, run_seed(31, i))[0] for i in range(runs)]
+        assert ensemble_outcomes(params, runs, seed=31, workers=1) == want
 
 
 # --------------------------------------------------------------------------

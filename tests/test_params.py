@@ -31,6 +31,15 @@ def test_negative_beta_rejected():
         Params(beta=-1.0, gamma=1 / 7, delta=0.0, pi=0.0, p=0.0, n=1)
 
 
+@pytest.mark.parametrize("name", ["beta", "gamma", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_rates_rejected(name, value):
+    rates = dict(beta=1.0, gamma=1.0, delta=0.5)
+    rates[name] = value
+    with pytest.raises(InvalidParams, match=f"{name} must be finite"):
+        Params(pi=0.0, p=0.0, n=1, **rates)
+
+
 def test_pi_out_of_range_rejected():
     with pytest.raises(InvalidParams, match=r"pi out of \[0,1\]"):
         Params(beta=1.0, gamma=1.0, delta=0.0, pi=1.5, p=0.0, n=1)
