@@ -22,6 +22,13 @@ infection order (the ascending-id order the closure would be applied in).
 :class:`EpidemicRecords` and :func:`trace_closure` state the tracing rule on
 an explicit transmission tree.
 
+A component's label is the id of its first member.  Its member list is
+created only when a second member joins, as ``[root, id]``, so a diagnosis in
+a component without one removes just the individual drawn.  Removal is a
+swap-pop on the infectious list, located through a position table indexed by
+id (-1 once removed).  Every table grows by one entry per infection, so a run
+allocates in proportion to its final size, never to ``n``.
+
 Traced-but-susceptible individuals do not exist here (only transmission
 edges are recorded), and contacts that did not transmit are not traceable.
 """
@@ -124,69 +131,80 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
         raise InvalidParams("epidemic simulation needs n >= 2")
     rng = random.Random(seed)
     uniform = rng.random
-    expovariate = rng.expovariate
+    log = math.log
     n = params.n
     beta_over_n = params.beta / n
     gamma, delta, pi, p = params.gamma, params.delta, params.pi, params.p
 
     is_app = [uniform() < pi]
-    component = [0]      # id -> component label
-    members = [[0]]      # label -> member ids in infection order
+    root = [0]       # id -> component label, the id of its first member
+    members = {}     # label -> member ids in infection order, once two or more
     infectious = [0]
-    slot = {0: 0}  # id -> position in the infectious list
-    susceptible = n - 1
+    where = [0]      # id -> position in the infectious list, -1 once removed
+    push = infectious.append
+    pop = infectious.pop
+    next_id = 1      # ids are handed out in infection order
     infectious_count = 1
     peak = 1
     events = 0
     now = 0.0
 
-    def discard(vid: int) -> None:
-        nonlocal infectious_count
-        i = slot.pop(vid)
-        last = infectious.pop()
-        infectious_count -= 1
-        if i < infectious_count:
-            infectious[i] = last
-            slot[last] = i
-
     while infectious_count:
-        rate_inf = beta_over_n * infectious_count * susceptible
+        rate_inf = beta_over_n * infectious_count * (n - next_id)
         rate_rec = gamma * infectious_count
         rate_dia = delta * infectious_count
         total = rate_inf + rate_rec + rate_dia
-        now += expovariate(total)
+        now += -log(1.0 - uniform()) / total  # random.expovariate(total)
         events += 1
         u = uniform() * total
         if u < rate_inf:
             src = infectious[int(uniform() * infectious_count)]
             app = uniform() < pi
             manual = uniform() < p
-            vid = len(component)
+            vid = next_id
             if manual or (app and is_app[src]):
-                label = component[src]
-                members[label].append(vid)
+                label = root[src]
+                group = members.get(label)
+                if group is None:
+                    members[label] = [label, vid]
+                else:
+                    group.append(vid)
             else:
-                label = len(members)
-                members.append([vid])
+                label = vid
             is_app.append(app)
-            component.append(label)
-            slot[vid] = infectious_count
-            infectious.append(vid)
+            root.append(label)
+            where.append(infectious_count)
+            push(vid)
             infectious_count += 1
-            susceptible -= 1
+            next_id += 1
             if infectious_count > peak:
                 peak = infectious_count
-        elif u < rate_inf + rate_rec:
-            discard(infectious[int(uniform() * infectious_count)])
-        else:
-            label = component[infectious[int(uniform() * infectious_count)]]
-            for vid in members[label]:
-                if vid in slot:
-                    discard(vid)
-            members[label] = None  # wholly diagnosed: it never grows again
+            continue
+        i = int(uniform() * infectious_count)
+        vid = infectious[i]
+        # a recovery, or the diagnosis of a component with no other member,
+        # removes just the individual drawn; a wholly diagnosed component
+        # never grows again, so its member list is dropped
+        if u < rate_inf + rate_rec or (group := members.pop(root[vid], None)) is None:
+            last = pop()
+            infectious_count -= 1
+            if i < infectious_count:
+                infectious[i] = last
+                where[last] = i
+            where[vid] = -1
+            continue
+        for vid in group:
+            i = where[vid]
+            if i >= 0:
+                where[vid] = -1
+                last = pop()
+                infectious_count -= 1
+                if i < infectious_count:
+                    infectious[i] = last
+                    where[last] = i
 
     return EpidemicOutcome(
-        final_size=len(component),
+        final_size=next_id,
         peak_infectious=peak,
         event_count=events,
         duration=now,

@@ -22,6 +22,21 @@ class InvalidParams(ValueError):
 PARAM_KEYS = ("beta", "gamma", "delta", "pi", "p", "n")
 
 
+def _is_whole(value) -> bool:
+    """True for a finite number with no fractional part."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError, TypeError):  # infinite, NaN, not a number
+        return False
+
+
+def _population_size(value) -> int:
+    """``value`` as an int ``n``, never silently truncated."""
+    if not _is_whole(value):
+        raise InvalidParams("n must be a positive integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Params:
     beta: float
@@ -47,7 +62,7 @@ class Params:
             problems.append("pi out of [0,1]")
         if not 0.0 <= self.p <= 1.0:
             problems.append("p out of [0,1]")
-        if int(self.n) != self.n or self.n < 1:
+        if not _is_whole(self.n) or self.n < 1:
             problems.append("n must be a positive integer")
         if problems:
             raise InvalidParams("; ".join(problems))
@@ -86,7 +101,7 @@ def with_param(params: Params, name: str, value) -> Params:
     if name not in PARAM_KEYS:
         raise InvalidParams(f"unknown parameter name: {name!r}")
     if name == "n":
-        value = int(value)
+        value = _population_size(value)
     return dataclasses.replace(params, **{name: value})
 
 
@@ -111,7 +126,7 @@ def params_from_dict(obj: dict, base: Params | None = None) -> Params:
             delta=float(obj["delta"]),
             pi=float(obj["pi"]),
             p=float(obj["p"]),
-            n=int(obj.get("n", 1)),
+            n=_population_size(obj.get("n", 1)),
         )
     merged = params_to_dict(base)
     merged.update(obj)

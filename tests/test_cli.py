@@ -253,3 +253,13 @@ def test_non_finite_rate_rejected(capsys, tmp_path, argv):
     assert code == 1
     assert f"error: {argv[1][2:]} must be finite" in err
     assert "major fraction" not in text
+
+
+def test_infinite_population_rejected(capsys, tmp_path):
+    # json reads Infinity; it must end in an error line, not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"n": float("inf")}}))
+    assert "Infinity" in cfg.read_text()
+    code, _, err = run_cli(capsys, "analytic", "--config", str(cfg))
+    assert code == 1
+    assert "error: n must be a positive integer" in err

@@ -1,4 +1,4 @@
-"""Smoke runs of the closed-form and Monte Carlo demos as scripts."""
+"""Smoke runs of the closed-form, Monte Carlo and outbreak demos as scripts."""
 
 import os
 import subprocess
@@ -31,6 +31,12 @@ def run_demo(name):
      ["combined R_DM = 0.9", "independence guess R_0(1-r_M)(1-r_D) = 1.1",
       "combined tracing is subcritical even though the independence product "
       "predicts supercritical"]),
+    # every outbreak outcome, end to end through a two-worker ensemble
+    ("03_outbreak_simulation.py",
+     ["no tracing           0.640  [0.619, 0.661]        0.925",
+      "app tracing only     0.470  [0.448, 0.492]        0.815",
+      "manual only          0.291  [0.272, 0.311]        0.506",
+      "both                 0.015  [0.011, 0.021]        0.141"]),
 ])
 def test_demo_runs(name, headlines):
     out = run_demo(name)

@@ -3,6 +3,7 @@ oracle, invariants, and theory checks."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from scipy.optimize import brentq
@@ -213,7 +214,9 @@ def test_index_case_app_flag_follows_pi():
 
 
 # the four outbreak-table rows (p, pi), then certain tracing, no diagnosis
-# and no transmission
+# and no transmission, then the corners of the event loop: the smallest
+# population, saturation (S reaches 0) without and with tracing, every edge
+# manual, and every edge app-app
 AGREEMENT_ROWS = [
     dict(p=0.0, pi=0.0),
     dict(p=0.0, pi=2 / 3),
@@ -222,16 +225,36 @@ AGREEMENT_ROWS = [
     dict(p=1.0, pi=1.0),
     dict(p=2 / 3, pi=2 / 3, delta=0.0),
     dict(p=2 / 3, pi=2 / 3, beta=0.0),
+    dict(n=2),
+    dict(beta=50.0, delta=0.0, p=0.0),
+    dict(beta=50.0),
+    dict(p=1.0, pi=0.0),
+    dict(p=0.0, pi=1.0),
 ]
 
 
 @pytest.mark.parametrize("n, runs", [(300, 120), (5000, 40)])
 def test_component_labels_reproduce_tree_oracle(n, runs):
-    # 7 * (120 + 40) = 1120 runs in all, compared on every outcome field
+    # 12 * (120 + 40) = 1920 runs in all, compared on every outcome field
     for row in AGREEMENT_ROWS:
-        params = small(n=n, **row)
+        params = small(**{"n": n, **row})
         want = [run_epidemic_tree(params, run_seed(31, i))[0] for i in range(runs)]
         assert ensemble_outcomes(params, runs, seed=31, workers=1) == want
+        if params.beta == 50.0:
+            assert max(o.final_size for o in want) == params.n
+
+
+def test_allocation_per_run_is_o_final_size():
+    # a per-individual table would take megabytes at this n; the run
+    # allocates only for the people it infects
+    tracemalloc.start()
+    try:
+        out = run_epidemic(small(n=10**6, beta=0.0), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.final_size == 1
+    assert peak < 64 * 1024
 
 
 # --------------------------------------------------------------------------

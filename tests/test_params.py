@@ -133,3 +133,22 @@ def test_with_param_keeps_others():
     base = Params(0.8, 1 / 7, 1 / 7, 0.25, 0.75, 100)
     q = with_param(base, "p", 0.5)
     assert q.p == 0.5 and q.pi == 0.25 and math.isclose(q.delta, 1 / 7)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2.5, 7.9])
+def test_non_integral_n_rejected(n):
+    # NaN and inf must not escape as ValueError or OverflowError, and a
+    # fraction must not be truncated to a smaller population
+    base = Params(beta=1.0, gamma=1.0, delta=0.0, pi=0.0, p=0.0, n=5)
+    with pytest.raises(InvalidParams, match="n must be a positive integer"):
+        dataclasses.replace(base, n=n)
+    with pytest.raises(InvalidParams, match="n must be a positive integer"):
+        params_from_dict(dict(params_to_dict(base), n=n))
+    with pytest.raises(InvalidParams, match="n must be a positive integer"):
+        with_param(base, "n", n)
+
+
+def test_whole_float_n_becomes_int():
+    base = Params(beta=1.0, gamma=1.0, delta=0.0, pi=0.0, p=0.0, n=5)
+    for q in (with_param(base, "n", 7.0), params_from_dict({"n": 7.0}, base=base)):
+        assert q.n == 7 and type(q.n) is int
