@@ -26,7 +26,7 @@ from epict import (
 
 FIG = Params(beta=6 / 7, gamma=1 / 7, delta=1 / 7, pi=0.0, p=0.0, n=1)
 BRACKET = (0.0, 5 / 6)
-mc = MCSettings(replicates=15_000, seed=11, max_escalations=1, workers=2)
+mc = MCSettings(replicates=15_000, seed=11, workers=2)
 
 print("coverage v | digital f* | digital f*(sqrt v) | manual f*")
 for v in (0.3, 0.6, 0.9):

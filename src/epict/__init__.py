@@ -82,7 +82,6 @@ from .sweep import (
     heatmap_grid,
     profile,
     spec_from_json,
-    spec_to_json,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,9 @@ from .params import (
 from .sweep import builtin_datasets, builtin_names, critical_curve, heatmap_grid
 from .sweep import (
     CURVE_HEADER,
+    DEFAULT_REPLICATES,
     HEATMAP_HEADER,
+    MCSettings,
     SweepDataset,
     curve_rows,
     heatmap_rows,
@@ -335,16 +337,20 @@ def cmd_sweep(config: RunConfig) -> int:
     elif config.sweep_spec_json:
         spec = spec_from_json(config.sweep_spec_json)
         name = f"sweep_{spec.target.value}"
+        replicates = DEFAULT_REPLICATES if config.replicates is None else config.replicates
+        mc = MCSettings(replicates, config.seed, config.workers)
         if spec.solve is not None:
-            datasets = [SweepDataset("curve", CURVE_HEADER, curve_rows(critical_curve(spec)))]
+            datasets = [SweepDataset("curve", CURVE_HEADER, curve_rows(critical_curve(spec, mc)))]
         elif spec.second_axis is not None:
-            datasets = [SweepDataset("heatmap", HEATMAP_HEADER, heatmap_rows(heatmap_grid(spec)))]
+            datasets = [
+                SweepDataset("heatmap", HEATMAP_HEADER, heatmap_rows(heatmap_grid(spec, mc)))
+            ]
         else:
             rows = [
                 [x, ev.value if math.isfinite(ev.value) else None,
                  ev.ci_low if ev.has_ci else None,
                  ev.ci_high if ev.has_ci else None, ev.status]
-                for x, ev in profile(spec)
+                for x, ev in profile(spec, mc)
             ]
             datasets = [
                 SweepDataset("profile",
@@ -490,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="critical curves and heatmaps")
     _add_common(sp)
     sp.add_argument("--spec", choices=builtin_names(), help="built-in dataset name")
-    sp.add_argument("--replicates", type=int, help="base Monte Carlo replicates per cell")
+    sp.add_argument("--replicates", type=int,
+                    help="base Monte Carlo replicates per evaluation (default 20000)")
     sp.add_argument("--out-dir", dest="out_dir", help="directory for CSV outputs")
 
     sp = sub.add_parser("table2", help="four-scenario reference table with flags")

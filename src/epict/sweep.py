@@ -1,16 +1,19 @@
 """Parameter sweeps: critical curves, heatmap grids, and figure datasets.
 
 A sweep evaluates one of five reproduction-number targets over parameter
-axes.  Deterministic targets (the closed-form digital and manual-only
-numbers) are solved to a residual tolerance by plain bisection, and every
-value they report carries a zero-width interval.  Monte Carlo targets (the
-combined model and the independence product) use a CI-aware bisection that
-escalates the replicate count when the interval at the midpoint straddles 1
-and stops once the bracket is narrower than the coordinate tolerance.
+axes.  Every evaluation is an interval: a closed-form value (the digital
+and manual-only numbers) is its own zero-width interval, a Monte Carlo
+estimate (the combined model and the independence product) carries its
+confidence interval.  One bisection serves both.  It takes a side only when
+the interval clears 1 by more than the residual tolerance, so a closed-form
+target is solved to that tolerance, while a Monte Carlo target escalates the
+replicate count where the interval straddles 1 and stops once the bracket is
+narrower than the coordinate tolerance.
 
-Every Monte Carlo evaluation is seeded from the sweep seed and the exact
-float bit patterns of its coordinates, so any published cell or curve point
-can be recomputed bit-exactly in isolation.
+Monte Carlo settings (base replicates, seed, workers) come from the caller,
+not from the sweep spec.  Every Monte Carlo evaluation is seeded from the
+sweep seed and the exact float bit patterns of its coordinates, so any
+published cell or curve point can be recomputed bit-exactly in isolation.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from ._util import float_key, mix64
 from .component import naive_combined_r, r_component_combined
 from .digital import DivergentSeries, r_component_digital, r_individual_digital, r_manual
-from .params import AXIS_NAMES, Params, with_param
+from .params import AXIS_NAMES, Params, params_from_dict, with_param
 
 
 class Target(enum.Enum):
@@ -37,6 +40,10 @@ class Target(enum.Enum):
 
 
 MC_TARGETS = (Target.R_DM, Target.NAIVE_PRODUCT)
+MAX_ESCALATIONS = 2  # replicate count grows 4x per escalation
+DECISION_Z = 3.0     # CI width used to pick a bisection side
+REPORT_Z = 1.96      # CI width of every reported Monte Carlo value
+DEFAULT_REPLICATES = 20_000
 
 
 class NoRootInBracket(ValueError):
@@ -79,11 +86,8 @@ class SolveSpec:
 
 @dataclass(frozen=True)
 class MCSettings:
-    replicates: int = 20_000
+    replicates: int = DEFAULT_REPLICATES
     seed: int = 0
-    max_escalations: int = 2   # replicate count grows 4x per escalation
-    decision_z: float = 3.0    # CI width used to pick a bisection side
-    report_z: float = 1.96
     workers: int = 1
 
 
@@ -96,86 +100,46 @@ class SweepSpec:
     free_axis: AxisSpec
     second_axis: AxisSpec | None = None
     solve: SolveSpec | None = None
-    mc: MCSettings | None = None
 
-    def mc_required(self) -> MCSettings:
-        if self.target in MC_TARGETS:
-            if self.mc is None:
-                raise ValueError(f"target {self.target.value} needs mc settings")
-            return self.mc
-        return self.mc or MCSettings()
+
+def _keys(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
+    # misspelt or leftover keys fail loudly, as in params_from_dict
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
+    return obj
 
 
 def spec_from_json(text: str) -> SweepSpec:
-    obj = json.loads(text)
-    from .params import params_from_dict
+    obj = _keys(json.loads(text), "sweep", ("target", "fixed", "free_axis"),
+                ("second_axis", "solve"))
 
-    def axis(d):
+    def axis(what):
+        d = _keys(obj[what], what, ("name", "start", "stop", "points"))
         return AxisSpec(d["name"], float(d["start"]), float(d["stop"]), int(d["points"]))
 
     solve = obj.get("solve")
-    mc = obj.get("mc")
-    return SweepSpec(
-        target=Target(obj["target"]),
-        fixed=params_from_dict(obj["fixed"]),
-        free_axis=axis(obj["free_axis"]),
-        second_axis=axis(obj["second_axis"]) if obj.get("second_axis") else None,
-        solve=SolveSpec(
+    if solve is not None:
+        _keys(solve, "solve", ("coordinate", "lo", "hi"), ("residual_tol", "coord_tol"))
+        solve = SolveSpec(
             solve["coordinate"],
             float(solve["lo"]),
             float(solve["hi"]),
             float(solve.get("residual_tol", 1e-9)),
             float(solve.get("coord_tol", 1e-3)),
         )
-        if solve
-        else None,
-        mc=MCSettings(
-            replicates=int(mc.get("replicates", 20_000)),
-            seed=int(mc.get("seed", 0)),
-            max_escalations=int(mc.get("max_escalations", 2)),
-            decision_z=float(mc.get("decision_z", 3.0)),
-            report_z=float(mc.get("report_z", 1.96)),
-            workers=int(mc.get("workers", 1)),
-        )
-        if mc
-        else None,
+    return SweepSpec(
+        target=Target(obj["target"]),
+        fixed=params_from_dict(obj["fixed"]),
+        free_axis=axis("free_axis"),
+        second_axis=axis("second_axis") if obj.get("second_axis") is not None else None,
+        solve=solve,
     )
-
-
-def spec_to_json(spec: SweepSpec) -> str:
-    from .params import params_to_dict
-
-    def axis(a):
-        return None if a is None else {
-            "name": a.name, "start": a.start, "stop": a.stop, "points": a.points
-        }
-
-    obj = {
-        "target": spec.target.value,
-        "fixed": params_to_dict(spec.fixed),
-        "free_axis": axis(spec.free_axis),
-        "second_axis": axis(spec.second_axis),
-        "solve": None
-        if spec.solve is None
-        else {
-            "coordinate": spec.solve.coordinate,
-            "lo": spec.solve.lo,
-            "hi": spec.solve.hi,
-            "residual_tol": spec.solve.residual_tol,
-            "coord_tol": spec.solve.coord_tol,
-        },
-        "mc": None
-        if spec.mc is None
-        else {
-            "replicates": spec.mc.replicates,
-            "seed": spec.mc.seed,
-            "max_escalations": spec.mc.max_escalations,
-            "decision_z": spec.mc.decision_z,
-            "report_z": spec.mc.report_z,
-            "workers": spec.mc.workers,
-        },
-    }
-    return json.dumps(obj, indent=2)
 
 
 @dataclass(frozen=True)
@@ -197,7 +161,7 @@ def evaluate_target(
     mc: MCSettings | None = None,
     eval_seed: int = 0,
     replicates: int | None = None,
-    z: float | None = None,
+    z: float = REPORT_Z,
 ) -> TargetEval:
     """One target evaluation; divergent means map to +inf (supercritical).
 
@@ -210,9 +174,8 @@ def evaluate_target(
             if mc is None:
                 raise ValueError(f"target {target.value} needs mc settings")
             reps = replicates if replicates is not None else mc.replicates
-            zz = z if z is not None else mc.report_z
             estimate = r_component_combined if target is Target.R_DM else naive_combined_r
-            est = estimate(params, reps, seed=eval_seed, workers=mc.workers, z=zz)
+            est = estimate(params, reps, seed=eval_seed, workers=mc.workers, z=z)
             return TargetEval(est.value, est.ci_low, est.ci_high)
         if target is Target.R_D:
             value = r_component_digital(params)
@@ -241,19 +204,14 @@ def _point_seed(mc_seed: int, abscissa: float | None, coordinate: float, level: 
     return mix64(mc_seed, a_key, float_key(coordinate), level)
 
 
-def _prescan_monotone(evaluate, lo: float, hi: float, slack) -> None:
-    # nine-point scan over all ordered pairs; refuses bisection when the
-    # direction reverses by more than the supplied slack
-    xs = [lo + (hi - lo) * i / 8 for i in range(9)]
-    vals = [evaluate(x) for x in xs]
-    pairs = [(a, b) for i, a in enumerate(vals) for b in vals[i + 1:]]
-    rising = any(b - a > slack(a, b) for a, b in pairs)
-    falling = any(a - b > slack(a, b) for a, b in pairs)
-    if rising and falling:
-        raise NonMonotoneTarget(
-            "target is not monotone in the solve coordinate over the bracket; "
-            "use a grid scan (heatmap_grid) instead"
-        )
+def _side(ev: TargetEval, tol: float) -> int:
+    # +1 above 1, -1 below, 0 when the interval comes within tol of 1; the
+    # subtractions keep closed-form decisions those of |value - 1| <= tol
+    if ev.ci_low - 1.0 > tol:
+        return 1
+    if 1.0 - ev.ci_high > tol:
+        return -1
+    return 0
 
 
 def find_critical(
@@ -266,13 +224,16 @@ def find_critical(
     mc: MCSettings | None = None,
     abscissa: float | None = None,
 ) -> CurvePoint:
-    """Solve target(x) = 1 in one coordinate over a bracket.
+    """Solve target(x) = 1 in one coordinate over a bracket by bisection.
 
-    Deterministic targets bisect until the residual |target - 1| falls below
-    ``tol``.  Monte Carlo targets bisect on confidence intervals: a side is
-    taken only when the interval at the midpoint excludes 1 (replicates
-    escalate 4x up to the budget first) and the search stops at bracket
-    width ``coord_tol``, returning the midpoint with its interval attached.
+    A side is taken only when the interval at a point clears 1 by more than
+    ``tol``; otherwise the point is the root, returned with its interval.
+    A closed-form target therefore stops once |target - 1| <= ``tol``, and
+    raises :class:`NoRootInBracket` if the bracket collapses first.  A Monte
+    Carlo target uses ``tol = 0`` on its CI at ``DECISION_Z`` (the replicate
+    count escalates 4x, up to ``MAX_ESCALATIONS`` times, while the interval
+    straddles 1) and stops at bracket width ``coord_tol``, returning the
+    midpoint with its ``REPORT_Z`` interval attached.
 
     Solving in ``pi`` runs a monotonicity pre-scan first, because component
     reproduction numbers need not be monotone in the app fraction.
@@ -280,139 +241,79 @@ def find_critical(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    if target in MC_TARGETS:
+    sampled = target in MC_TARGETS
+    if sampled:
         if mc is None:
             raise ValueError(f"target {target.value} needs mc settings")
-        return _find_critical_mc(
-            target, solve_coordinate, lo, hi, fixed, mc, coord_tol, abscissa
-        )
-    return _find_critical_exact(target, solve_coordinate, lo, hi, fixed, tol, abscissa)
+        tol = 0.0  # the interval itself carries the uncertainty
 
+    def evaluate(x, z=DECISION_Z):
+        params = with_param(fixed, solve_coordinate, x)
+        if not sampled:
+            return evaluate_target(target, params)
+        reps = mc.replicates
+        for level in range(MAX_ESCALATIONS + 1):
+            ev = evaluate_target(
+                target, params, mc=mc,
+                eval_seed=_point_seed(mc.seed, abscissa, x, level),
+                replicates=reps, z=z,
+            )
+            if _side(ev, tol):
+                break
+            reps *= 4
+        return ev
 
-def _exact_point(abscissa, x, f_x) -> CurvePoint:
-    # the target's value at the root, 1 + f_x, as a zero-width interval
-    return CurvePoint(abscissa, x, abs(f_x), 1.0 + f_x, 1.0 + f_x)
+    def root(x, ev):
+        return CurvePoint(abscissa, x, abs(ev.value - 1.0), ev.ci_low, ev.ci_high)
 
-
-def _find_critical_exact(target, coord, lo, hi, fixed, tol, abscissa):
-    def value(x):
-        return evaluate_target(target, with_param(fixed, coord, x)).value
-
-    if coord == "pi":
-        _prescan_monotone(value, lo, hi, slack=lambda a, b: 1e-9)
-    f_lo = value(lo) - 1.0
-    f_hi = value(hi) - 1.0
-    for x, fx in ((lo, f_lo), (hi, f_hi)):
-        if abs(fx) <= tol:
-            return _exact_point(abscissa, x, fx)
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoRootInBracket(
-            f"target - 1 has the same sign at both bracket ends "
-            f"({f_lo:+.3g} and {f_hi:+.3g}); no root to bisect"
-        )
-    a, b, f_a = lo, hi, f_lo
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        f_m = value(m) - 1.0
-        if abs(f_m) <= tol:
-            return _exact_point(abscissa, m, f_m)
-        if (f_m > 0.0) == (f_a > 0.0):
-            a, f_a = m, f_m
-        else:
-            b = m
-        if b - a <= 1e-15 * max(1.0, abs(b)):
-            break
-    raise NoRootInBracket(
-        "target crosses 1 discontinuously; no coordinate attains the residual "
-        "tolerance (grid scan recommended)"
-    )
-
-
-def _mc_eval(target, coord, x, fixed, mc, abscissa, z):
-    params = with_param(fixed, coord, x)
-    reps = mc.replicates
-    for level in range(mc.max_escalations + 1):
-        ev = evaluate_target(
-            target, params, mc=mc,
-            eval_seed=_point_seed(mc.seed, abscissa, x, level),
-            replicates=reps, z=z,
-        )
-        if ev.status == "divergent":
-            return ev
-        if not (ev.ci_low <= 1.0 <= ev.ci_high):
-            return ev
-        reps *= 4
-    return ev
-
-
-def _mc_side(ev: TargetEval) -> int:
-    # +1 above threshold, -1 below, 0 statistically indistinguishable from 1
-    if ev.status == "divergent":
-        return 1
-    if ev.ci_low > 1.0:
-        return 1
-    if ev.ci_high < 1.0:
-        return -1
-    return 0
-
-
-def _find_critical_mc(target, coord, lo, hi, fixed, mc, coord_tol, abscissa):
-    def decided(x):
-        return _mc_eval(target, coord, x, fixed, mc, abscissa, mc.decision_z)
-
-    if coord == "pi":
-        # nine-point scan over all ordered pairs; only CI-separated reversals
-        # count as evidence (divergent cells sit above every finite value)
-        vals = [decided(lo + (hi - lo) * i / 8) for i in range(9)]
-
-        def separated_above(a: TargetEval, b: TargetEval) -> bool:
-            if b.status == "divergent":
-                return a.status != "divergent"
-            if a.status == "divergent":
-                return False
-            return b.ci_low > a.ci_high
-
+    if solve_coordinate == "pi":
+        # nine-point scan over all ordered pairs; only reversals separated
+        # by more than tol count (divergent points sit above every finite one)
+        vals = [evaluate(lo + (hi - lo) * i / 8) for i in range(9)]
         pairs = [(a, b) for i, a in enumerate(vals) for b in vals[i + 1:]]
-        rising = any(separated_above(a, b) for a, b in pairs)
-        falling = any(separated_above(b, a) for a, b in pairs)
+        rising = any(b.ci_low - a.ci_high > tol for a, b in pairs)
+        falling = any(a.ci_low - b.ci_high > tol for a, b in pairs)
         if rising and falling:
             raise NonMonotoneTarget(
-                "target is not monotone in pi over the bracket; "
+                "target is not monotone in the solve coordinate over the bracket; "
                 "use a grid scan (heatmap_grid) instead"
             )
-
-    ev_lo, ev_hi = decided(lo), decided(hi)
-    side_lo, side_hi = _mc_side(ev_lo), _mc_side(ev_hi)
+    ev_lo, ev_hi = evaluate(lo), evaluate(hi)
+    side_lo, side_hi = _side(ev_lo, tol), _side(ev_hi, tol)
     if side_lo == 0:
-        return CurvePoint(abscissa, lo, abs(ev_lo.value - 1.0), ev_lo.ci_low, ev_lo.ci_high)
+        return root(lo, ev_lo)
     if side_hi == 0:
-        return CurvePoint(abscissa, hi, abs(ev_hi.value - 1.0), ev_hi.ci_low, ev_hi.ci_high)
+        return root(hi, ev_hi)
     if side_lo == side_hi:
         raise NoRootInBracket(
-            f"target CI-separated from 1 on the same side at both bracket ends "
-            f"(values {ev_lo.value:.4g} and {ev_hi.value:.4g})"
+            f"target - 1 has the same sign at both bracket ends "
+            f"({ev_lo.value - 1.0:+.3g} and {ev_hi.value - 1.0:+.3g}); no root to bisect"
         )
-    a, b, side_a = lo, hi, side_lo
-    while b - a > coord_tol:
+    a, b = lo, hi
+    stop = coord_tol if sampled else 0.0
+    while b - a > max(stop, 1e-15 * max(1.0, abs(b))):
         m = 0.5 * (a + b)
-        ev = decided(m)
-        side = _mc_side(ev)
+        ev = evaluate(m)
+        side = _side(ev, tol)
         if side == 0:
-            return CurvePoint(abscissa, m, abs(ev.value - 1.0), ev.ci_low, ev.ci_high)
-        if side == side_a:
+            return root(m, ev)
+        if side == side_lo:
             a = m
         else:
             b = m
+    if not sampled:
+        raise NoRootInBracket(
+            "target crosses 1 discontinuously; no coordinate attains the residual "
+            "tolerance (grid scan recommended)"
+        )
     m = 0.5 * (a + b)
-    ev = _mc_eval(target, coord, m, fixed, mc, abscissa, mc.report_z)
-    return CurvePoint(abscissa, m, abs(ev.value - 1.0), ev.ci_low, ev.ci_high)
+    return root(m, evaluate(m, REPORT_Z))
 
 
-def critical_curve(spec: SweepSpec) -> list[CurvePoint]:
+def critical_curve(spec: SweepSpec, mc: MCSettings | None = None) -> list[CurvePoint]:
     """find_critical at every abscissa of the free axis; failures become markers."""
     if spec.solve is None:
         raise ValueError("critical_curve needs a solve block in the spec")
-    mc = spec.mc_required() if spec.target in MC_TARGETS else spec.mc
     points = []
     for a in spec.free_axis.values():
         fixed = with_param(spec.fixed, spec.free_axis.name, a)
@@ -451,11 +352,10 @@ def cell_seed(mc_seed: int, x1: float, x2: float) -> int:
     return mix64(mc_seed, float_key(x1), float_key(x2))
 
 
-def heatmap_grid(spec: SweepSpec) -> HeatmapGrid:
+def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> HeatmapGrid:
     """Row-major grid of target evaluations over free_axis x second_axis."""
     if spec.second_axis is None:
         raise ValueError("heatmap_grid needs a second_axis in the spec")
-    mc = spec.mc_required() if spec.target in MC_TARGETS else spec.mc
     seed0 = mc.seed if mc else 0
     rows = []
     for x1 in spec.free_axis.values():
@@ -475,9 +375,8 @@ def heatmap_grid(spec: SweepSpec) -> HeatmapGrid:
     return HeatmapGrid(spec.free_axis, spec.second_axis, tuple(rows))
 
 
-def profile(spec: SweepSpec) -> list[tuple[float, TargetEval]]:
+def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, TargetEval]]:
     """Target values along the free axis (no solving, no second axis)."""
-    mc = spec.mc_required() if spec.target in MC_TARGETS else spec.mc
     seed0 = mc.seed if mc else 0
     out = []
     for x in spec.free_axis.values():
@@ -562,7 +461,7 @@ def builtin_datasets(
     fig3a, fig3b and fig4 are closed form; only fig5a and fig5b read the
     seed, the replicate count and the workers.
     """
-    mc = MCSettings(replicates=replicates or 20_000, seed=seed, workers=workers)
+    mc = MCSettings(DEFAULT_REPLICATES if replicates is None else replicates, seed, workers)
     if name == "fig3a":
         return _fig3_datasets(curve_points, squared=False)
     if name == "fig3b":
@@ -626,19 +525,17 @@ def _fig5_datasets(
             base,
             AxisSpec("p", 0.0, 1.0, grid_points),
             second_axis=AxisSpec("pi", 0.0, 1.0, grid_points),
-            mc=mc,
-        )
+        ),
+        mc,
     )
     solve = SolveSpec("p", 0.0, 1.0, coord_tol=5e-3)
     axis = AxisSpec("pi", 0.1, 0.9, curve_points)
-    rdm = critical_curve(SweepSpec(Target.R_DM, base, axis, solve=solve, mc=mc))
+    rdm = critical_curve(SweepSpec(Target.R_DM, base, axis, solve=solve), mc)
     out = [
         SweepDataset("rdm_heatmap", HEATMAP_HEADER, heatmap_rows(grid)),
         SweepDataset("rdm_curve", CURVE_HEADER, curve_rows(rdm)),
     ]
     if naive:
-        white = critical_curve(
-            SweepSpec(Target.NAIVE_PRODUCT, base, axis, solve=solve, mc=mc)
-        )
+        white = critical_curve(SweepSpec(Target.NAIVE_PRODUCT, base, axis, solve=solve), mc)
         out.append(SweepDataset("naive_curve", CURVE_HEADER, curve_rows(white)))
     return out

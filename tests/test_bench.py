@@ -1,19 +1,25 @@
-"""The benchmark's tracing pass must find every package function it wraps."""
+"""The benchmark's tracing pass must find every package function it wraps
+and read the arguments it expects."""
 
 import importlib.util
 from pathlib import Path
 
 import epict
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_functions_exist():
     # bench/tracing.py replaces module attributes by name, so a renamed or
     # deleted function breaks `bench/run.py --trace 1` and nothing else
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load("tracing")
     missing = [
         f"{module}.{attr}"
         for module, attr, _, _ in tracing.TARGETS
@@ -21,3 +27,16 @@ def test_traced_functions_exist():
     ]
     assert tracing.TARGETS
     assert missing == []
+
+
+def test_traced_critical_curves_round():
+    # the tracer's readers assume call shapes too: evaluate_target gets its
+    # MC settings as the keyword mc=, with a .replicates attribute
+    tracing, workloads = load("tracing"), load("workloads")
+    tracer = tracing.Tracer()
+    with tracer.patched(epict):
+        for _, op in workloads.CriticalCurves(epict).operations(1, 0, 1):
+            op()
+    metrics = tracer.layer_metrics(1)
+    assert metrics["sweep.evaluations"] > 0
+    assert metrics["sweep.mc_replicates"] > 0

@@ -134,6 +134,62 @@ def test_sweep_custom_spec_config(capsys, tmp_path):
     assert all(r["status"] == "ok" for r in rows)
 
 
+R_DM_PROFILE = {
+    "target": "R_DM",
+    "fixed": {"beta": 6 / 7, "gamma": 1 / 7, "delta": 1 / 28, "pi": 0.5, "p": 0.3, "n": 1},
+    "free_axis": {"name": "p", "start": 0.2, "stop": 0.6, "points": 2},
+}
+
+
+def sweep_profile_rows(capsys, tmp_path, *argv, **config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": R_DM_PROFILE, **config}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(out), *argv)
+    assert code == 0, err
+    return (out / "sweep_R_DM_profile.csv").read_text().splitlines()
+
+
+def test_sweep_custom_spec_reads_seed_and_threads(capsys, tmp_path):
+    # a Monte Carlo spec takes its seed and workers from the run
+    one = sweep_profile_rows(capsys, tmp_path, "--replicates", "200", "--seed", "1")
+    two = sweep_profile_rows(capsys, tmp_path, "--replicates", "200", "--seed", "2")
+    assert len(one) == 3 and one[0] == two[0] and one[1:] != two[1:]
+    from_file = sweep_profile_rows(capsys, tmp_path, "--replicates", "200", seed=2)
+    assert from_file == two
+    serial = sweep_profile_rows(capsys, tmp_path, "--replicates", "200", "--threads", "1")
+    pooled = sweep_profile_rows(capsys, tmp_path, "--replicates", "200", "--threads", "2")
+    assert serial == pooled
+
+
+@pytest.mark.parametrize("argv, config, want", [
+    (["--replicates", "300"], {}, 300),
+    ([], {"replicates": 400}, 400),
+    ([], {}, 20_000),
+])
+def test_sweep_custom_spec_reads_replicates(capsys, tmp_path, monkeypatch, argv, config, want):
+    import epict.sweep
+
+    seen = []
+    original = epict.sweep.r_component_combined
+
+    def spy(params, replicates, **kwargs):
+        seen.append(replicates)
+        return original(params, min(replicates, 300), **kwargs)
+
+    monkeypatch.setattr("epict.sweep.r_component_combined", spy)
+    sweep_profile_rows(capsys, tmp_path, *argv, **config)
+    assert seen == [want, want]
+
+
+def test_sweep_spec_mc_block_rejected(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": {**R_DM_PROFILE, "mc": {"replicates": 100}}}))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "error: unknown sweep key(s): mc" in err
+
+
 @pytest.mark.parametrize("argv, want", [
     (["--replicates", "1000000"], 1_000_000),
     (["--replicates", "999999"], 999_999),

@@ -1,4 +1,5 @@
-"""Smoke runs of the closed-form, Monte Carlo and outbreak demos as scripts."""
+"""Smoke runs of the closed-form, Monte Carlo, outbreak and critical-curve
+demos as scripts."""
 
 import os
 import subprocess
@@ -37,6 +38,13 @@ def run_demo(name):
       "app tracing only     0.470  [0.448, 0.492]        0.815",
       "manual only          0.291  [0.272, 0.311]        0.506",
       "both                 0.015  [0.011, 0.021]        0.141"]),
+    # the only demo that bisects both closed-form and Monte Carlo targets
+    ("04_critical_curves.py",
+     ["   0.3     |   0.822    |       0.790        |  0.778",
+      "   0.6     |   0.779    |       0.716        |  0.667",
+      "   0.9     |   0.597    |       0.480        |  0.333",
+      "combined model at pi=0.5, testing fraction 0.5: R_DM crosses 1 at p = 0.738 "
+      "(CI at stop [1.003, 1.016])"]),
 ])
 def test_demo_runs(name, headlines):
     out = run_demo(name)

@@ -1,6 +1,8 @@
 """Root finding on critical curves, heatmaps, and sweep plumbing."""
 
+import json
 import math
+import re
 
 import pytest
 
@@ -22,10 +24,9 @@ from epict import (
     r_component_digital,
     r_manual,
     spec_from_json,
-    spec_to_json,
     with_param,
 )
-from epict.sweep import cell_seed, curve_rows, heatmap_rows
+from epict.sweep import builtin_datasets, cell_seed, curve_rows, heatmap_rows
 
 from conftest import WORKERS
 
@@ -84,6 +85,14 @@ def test_find_critical_full_app_coverage_has_no_root():
     assert grid_scan_root(lambda f: rd_at(1.0, f), 1e-3, FMAX, step=1e-3) is None
 
 
+def test_find_critical_discontinuous_crossing(monkeypatch):
+    # a closed-form target that jumps over 1 has no point within the residual
+    # tolerance: the bracket collapses onto the jump and the solve refuses
+    monkeypatch.setattr("epict.sweep.r_manual", lambda params: 2.0 if params.p < 0.3 else 0.5)
+    with pytest.raises(NoRootInBracket, match="discontinuously"):
+        find_critical(Target.R_M, "p", (0.0, 1.0), FIG)
+
+
 def test_find_critical_refuses_non_monotone_pi():
     # at testing fraction 0.05 the digital number rises then falls in pi
     fixed = with_param(FIG, "testing_fraction", 0.05)
@@ -95,7 +104,7 @@ def test_find_critical_refuses_non_monotone_pi_mc_target():
     # same guard for Monte Carlo targets, driven by CI-separated reversals:
     # the combined number at testing fraction 0.2 rises then collapses in pi
     fixed = with_param(with_param(FIG, "testing_fraction", 0.2), "p", 0.1)
-    mc = MCSettings(replicates=10_000, seed=31, max_escalations=0, workers=WORKERS)
+    mc = MCSettings(replicates=10_000, seed=31, workers=WORKERS)
     with pytest.raises(NonMonotoneTarget, match="grid scan"):
         find_critical(Target.R_DM, "pi", (0.05, 0.95), fixed, coord_tol=0.02, mc=mc)
 
@@ -130,7 +139,7 @@ def test_manual_mc_bisection_lands_on_closed_form_root(p):
     # the curve's slope) of the closed-form R_M root
     fixed = with_param(FIG, "p", p)
     exact = find_critical(Target.R_M, "testing_fraction", (0.0, FMAX), fixed, tol=1e-10)
-    mc = MCSettings(replicates=4_000, seed=19, max_escalations=1, workers=WORKERS)
+    mc = MCSettings(replicates=4_000, seed=19, workers=WORKERS)
     coord_tol = 0.01
     point = find_critical(
         Target.R_DM, "testing_fraction", (0.0, FMAX), fixed, coord_tol=coord_tol, mc=mc
@@ -239,37 +248,59 @@ def test_profile_runs_along_axis():
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_spec_json_round_trip():
-    spec = SweepSpec(
+SPEC_JSON = {
+    "target": "R_DM",
+    "fixed": {"beta": 0.8, "gamma": 1 / 7, "delta": 1 / 7, "pi": 0.3, "p": 0.4, "n": 100},
+    "free_axis": {"name": "pi", "start": 0.1, "stop": 0.9, "points": 5},
+    "second_axis": None,
+    "solve": {"coordinate": "p", "lo": 0.0, "hi": 1.0, "coord_tol": 0.01},
+}
+
+
+def test_spec_from_json_parses():
+    spec = spec_from_json(json.dumps(SPEC_JSON))
+    assert spec == SweepSpec(
         target=Target.R_DM,
         fixed=Params(0.8, 1 / 7, 1 / 7, 0.3, 0.4, 100),
         free_axis=AxisSpec("pi", 0.1, 0.9, 5),
         solve=SolveSpec("p", 0.0, 1.0, coord_tol=0.01),
-        mc=MCSettings(replicates=1000, seed=42, max_escalations=1,
-                      decision_z=2.5, report_z=1.64, workers=3),
     )
-    again = spec_from_json(spec_to_json(spec))
-    assert again.target == spec.target
-    assert again.fixed == spec.fixed
-    assert again.free_axis == spec.free_axis
-    assert again.solve == spec.solve
-    assert again.mc == spec.mc
 
 
-def test_spec_json_round_trip_closed_form_manual_target():
-    spec = SweepSpec(
+def test_spec_from_json_closed_form_manual_target():
+    text = json.dumps({
+        "target": "R_M",
+        "fixed": {"beta": 6 / 7, "gamma": 1 / 7, "delta": 1 / 7, "pi": 0.0, "p": 0.0},
+        "free_axis": {"name": "p", "start": 0.1, "stop": 0.9, "points": 3},
+        "solve": {"coordinate": "testing_fraction", "lo": 0.0, "hi": FMAX},
+    })
+    spec = spec_from_json(text)
+    assert spec == SweepSpec(
         target=Target.R_M,
         fixed=FIG,
         free_axis=AxisSpec("p", 0.1, 0.9, 3),
         solve=SolveSpec("testing_fraction", 0.0, FMAX),
     )
-    text = spec_to_json(spec)
-    assert '"target": "R_M"' in text and '"mc": null' in text
-    again = spec_from_json(text)
-    assert again == spec
-    points = critical_curve(again)
+    points = critical_curve(spec)
     assert all(pt.status == "ok" and pt.residual <= 1e-9 for pt in points)
     assert all(pt.ci_low == pt.ci_high for pt in points)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(mc={"replicates": 1000}), "unknown sweep key(s): mc"),
+    (lambda d: d.update(second_axes=None), "unknown sweep key(s): second_axes"),
+    (lambda d: d["solve"].update(coord_tool=0.1), "unknown solve key(s): coord_tool"),
+    (lambda d: d["free_axis"].update(point=3), "unknown free_axis key(s): point"),
+    (lambda d: d.update(second_axis={"name": "p", "start": 0, "stop": 1, "points": 3,
+                                     "step": 0.5}),
+     "unknown second_axis key(s): step"),
+    (lambda d: d["solve"].pop("hi"), "missing solve key(s): hi"),
+])
+def test_spec_from_json_rejects_unknown_and_missing_keys(edit, message):
+    obj = json.loads(json.dumps(SPEC_JSON))
+    edit(obj)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json(json.dumps(obj))
 
 
 def test_mc_target_requires_settings():
@@ -282,3 +313,48 @@ def test_axis_validation():
         AxisSpec("bogus", 0, 1, 5)
     with pytest.raises(ValueError):
         AxisSpec("pi", 0, 1, 1)
+
+
+# builtin_datasets("fig5b", seed=7, replicates=50, curve_points=2,
+# grid_points=3) and the curves of fig3a at curve_points=2, as the benchmark
+# calls them; the rows are those of the two-bisection sweep module this one
+# replaced
+PINNED_FIG5B_HEATMAP = [
+    [0.0, 0.0, 4.800000000000001, 4.800000000000001, 4.800000000000001, "ok"],
+    [0.0, 0.5, 6.580750002391424, 5.764136419380711, 7.397363585402137, "ok"],
+    [0.0, 1.0, 0.0, 0.0, 0.0, "ok"],
+    [0.5, 0.0, 8.92235294117647, 6.016266296869139, 11.828439585483801, "ok"],
+    [0.5, 0.5, 6.5715677658346205, 4.883727083452408, 8.259408448216833, "ok"],
+    [0.5, 1.0, 0.0, 0.0, 0.0, "ok"],
+    [1.0, 0.0, 0.0, 0.0, 0.0, "ok"],
+    [1.0, 0.5, 0.0, 0.0, 0.0, "ok"],
+    [1.0, 1.0, 0.0, 0.0, 0.0, "ok"],
+]
+PINNED_FIG5B_CURVE = [
+    [0.1, 0.953125, 0.03871312688461226, 0.8562562087985506, 1.066317537432225, "ok"],
+    [0.9, 0.765625, 0.025140241210016567, 0.9463909338706107, 1.1038895485494225, "ok"],
+]
+PINNED_FIG3A_DIGITAL = [
+    [0.1, 0.8320146236413469, 5.277909220779975e-10, 0.9999999994722091,
+     0.9999999994722091, "ok"],
+    [0.9, 0.5969054523545008, 9.898352137938105e-10, 0.9999999990101648,
+     0.9999999990101648, "ok"],
+]
+PINNED_FIG3A_MANUAL = [
+    [0.1, 0.8181818182735394, 5.22517362711028e-10, 0.9999999994774826,
+     0.9999999994774826, "ok"],
+    [0.9, 0.3333333332557231, 3.4239788782031155e-10, 1.0000000003423979,
+     1.0000000003423979, "ok"],
+]
+
+
+def test_benchmark_critical_curves_call_pinned():
+    fig5b = builtin_datasets("fig5b", seed=7, replicates=50, workers=WORKERS,
+                             curve_points=2, grid_points=3)
+    assert [ds.suffix for ds in fig5b] == ["rdm_heatmap", "rdm_curve"]
+    assert fig5b[0].rows == PINNED_FIG5B_HEATMAP
+    assert fig5b[1].rows == PINNED_FIG5B_CURVE
+    fig3a = builtin_datasets("fig3a", seed=7, replicates=50, workers=WORKERS, curve_points=2)
+    assert [ds.suffix for ds in fig3a] == ["rd_heatmap", "digital_curve", "manual_curve"]
+    assert fig3a[1].rows == PINNED_FIG3A_DIGITAL
+    assert fig3a[2].rows == PINNED_FIG3A_MANUAL
