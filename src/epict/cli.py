@@ -36,6 +36,7 @@ from .epidemic import ensemble_outcomes, run_ensemble, summarize_ensemble
 from .params import (
     InvalidParams,
     Params,
+    _is_whole,
     params_from_dict,
     params_to_dict,
     r0,
@@ -72,10 +73,17 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int, never silently truncated (JSON true is not 1)."""
+    if isinstance(value, bool) or not _is_whole(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _resolve_threads(value) -> int:
     if value in (None, "auto"):
         return os.cpu_count() or 1
-    k = int(value)
+    k = int(value) if isinstance(value, str) else _whole("threads", value)
     if k < 1:
         raise ValueError("threads must be >= 1 or 'auto'")
     return k
@@ -137,10 +145,10 @@ def _build_config(args) -> RunConfig:
         sweep_spec_json = json.dumps(cfg["sweep"])
     return RunConfig(
         params=params,
-        seed=int(seed),
+        seed=_whole("seed", seed),
         workers=_resolve_threads(threads),
-        replicates=None if replicates is None else int(replicates),
-        runs=int(runs),
+        replicates=None if replicates is None else _whole("replicates", replicates),
+        runs=_whole("runs", runs),
         out=out,
         fmt=fmt,
         strict=bool(getattr(args, "strict", False)),
@@ -303,16 +311,19 @@ def cmd_epidemic(config: RunConfig) -> int:
     }
     if config.out:
         cutoff = summary.major_threshold * p.n
+        header = ["run_index", "final_size", "peak_infectious", "duration", "major_flag"]
         rows = [
-            [i, o.final_size, o.peak_infectious, f"{o.duration:.6f}",
-             int(o.final_size > cutoff)]
+            [i, o.final_size, o.peak_infectious, o.duration, int(o.final_size > cutoff)]
             for i, o in enumerate(outcomes)
         ]
-        _write_csv(
-            config.out,
-            ["run_index", "final_size", "peak_infectious", "duration", "major_flag"],
-            rows,
-        )
+        if config.fmt == "json":
+            with open(config.out, "w", encoding="utf-8") as fh:
+                json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
+                fh.write("\n")
+        else:
+            for row in rows:
+                row[3] = f"{row[3]:.6f}"
+            _write_csv(config.out, header, rows)
         summary_path = os.path.splitext(config.out)[0] + ".summary.json"
         with open(summary_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)

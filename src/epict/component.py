@@ -436,6 +436,7 @@ def naive_combined_r(
         replicates=replicates,
         seed=seed,
         workers=workers,
+        z=z,
     )
     if params.pi == 0.0:
         return NaiveProductEstimate(

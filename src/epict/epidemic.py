@@ -29,6 +29,14 @@ swap-pop on the infectious list, located through a position table indexed by
 id (-1 once removed).  Every table grows by one entry per infection, so a run
 allocates in proportion to its final size, never to ``n``.
 
+In a run in which tracing cannot act (``delta == 0``: nobody is diagnosed;
+or ``p == pi == 0``: no edge is traceable, so every component has one
+member) every removal takes just the individual drawn, whoever that is.
+Such a run keeps only counts (:func:`_run_untraced`): it makes the same
+draws in the same order through the same expressions, discarding the ones
+that only pick or flag individuals, so its outcome is the general loop's bit
+for bit.
+
 Traced-but-susceptible individuals do not exist here (only transmission
 edges are recorded), and contacts that did not transmit are not traceable.
 """
@@ -131,6 +139,8 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
         raise InvalidParams("epidemic simulation needs n >= 2")
     rng = random.Random(seed)
     uniform = rng.random
+    if params.delta == 0.0 or (params.p == 0.0 and params.pi == 0.0):
+        return _run_untraced(params, uniform)
     log = math.log
     n = params.n
     beta_over_n = params.beta / n
@@ -207,6 +217,50 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
         final_size=next_id,
         peak_infectious=peak,
         event_count=events,
+        duration=now,
+    )
+
+
+def _run_untraced(params: Params, uniform) -> EpidemicOutcome:
+    """:func:`run_epidemic` for a run in which tracing cannot act.
+
+    Only counts are kept; the draws, their order and the float expressions
+    are the general loop's, so the outcome is the same bit for bit.
+    """
+    log = math.log
+    n = params.n
+    beta_over_n = params.beta / n
+    gamma, delta = params.gamma, params.delta
+
+    uniform()        # the index case's app flag
+    next_id = 1
+    infectious_count = 1
+    peak = 1
+    now = 0.0
+
+    while infectious_count:
+        rate_inf = beta_over_n * infectious_count * (n - next_id)
+        rate_rec = gamma * infectious_count
+        rate_dia = delta * infectious_count
+        total = rate_inf + rate_rec + rate_dia
+        now += -log(1.0 - uniform()) / total  # random.expovariate(total)
+        if uniform() * total < rate_inf:
+            uniform()    # the source,
+            uniform()    # the infectee's app flag
+            uniform()    # and the edge's manual flag
+            infectious_count += 1
+            next_id += 1
+            if infectious_count > peak:
+                peak = infectious_count
+        else:
+            uniform()    # the individual removed
+            infectious_count -= 1
+
+    # one event per infection and one per removal, and everyone is removed
+    return EpidemicOutcome(
+        final_size=next_id,
+        peak_infectious=peak,
+        event_count=2 * next_id - 1,
         duration=now,
     )
 

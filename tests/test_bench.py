@@ -40,3 +40,17 @@ def test_traced_critical_curves_round():
     metrics = tracer.layer_metrics(1)
     assert metrics["sweep.evaluations"] > 0
     assert metrics["sweep.mc_replicates"] > 0
+
+
+def test_traced_outbreak_table_round():
+    # the per-event rates are read from spans around run_epidemic, so every
+    # run of the outbreak table, untraced rows included, must go through it
+    tracing, workloads = load("tracing"), load("workloads")
+    tracer = tracing.Tracer()
+    with tracer.patched(epict):
+        for _, op in workloads.OutbreakTable(epict).operations(1, 0, 1, runs=10):
+            op()
+    metrics = tracer.layer_metrics(1)
+    assert metrics["epidemic.runs"] == 40
+    assert metrics["epidemic.us_per_event.plain_sir"] > 0
+    assert metrics["epidemic.us_per_event.contact_tracing"] > 0

@@ -319,3 +319,52 @@ def test_infinite_population_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analytic", "--config", str(cfg))
     assert code == 1
     assert "error: n must be a positive integer" in err
+
+
+@pytest.mark.parametrize("text, name", [
+    ('{"runs": 2.5}', "runs"),
+    ('{"runs": 1e400}', "runs"),
+    ('{"runs": true}', "runs"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"seed": true}', "seed"),
+    ('{"seed": NaN}', "seed"),
+    ('{"replicates": 2000.7}', "replicates"),
+    ('{"threads": 1.5}', "threads"),
+    ('{"threads": false}', "threads"),
+])
+def test_non_whole_config_integer_rejected(capsys, tmp_path, text, name):
+    # int() would truncate these (or overflow on 1e400) instead of refusing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "epidemic", "--config", str(cfg), "--n", "50")
+    assert code == 1
+    assert f"error: {name} must be a whole number" in err
+    assert "major fraction" not in out
+
+
+def test_whole_float_config_integers_accepted(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"runs": 3.0, "seed": 7.0, "threads": 1.0}')
+    code, out, _ = run_cli(capsys, "epidemic", "--config", str(cfg), "--n", "50")
+    assert code == 0
+    code, want, _ = run_cli(capsys, "epidemic", "--runs", "3", "--seed", "7",
+                            "--threads", "1", "--n", "50")
+    assert code == 0
+    assert out == want
+
+
+def test_epidemic_json_runs_file(capsys, tmp_path):
+    argv = ["epidemic", "--runs", "12", "--n", "200", "--seed", "7", "--threads", "1"]
+    out_json, out_csv = tmp_path / "runs.json", tmp_path / "runs.csv"
+    code, _, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(out_json))
+    assert code == 0
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_csv))
+    assert code == 0
+    records = json.loads(out_json.read_text())
+    rows = list(csv.DictReader(out_csv.open()))
+    assert len(records) == 12
+    assert [set(r) for r in records] == [set(row) for row in rows]
+    for record, row in zip(records, rows):
+        assert f"{record['duration']:.6f}" == row["duration"]
+        assert {k: str(v) for k, v in record.items() if k != "duration"} == {
+            k: v for k, v in row.items() if k != "duration"}

@@ -216,7 +216,8 @@ def test_index_case_app_flag_follows_pi():
 # the four outbreak-table rows (p, pi), then certain tracing, no diagnosis
 # and no transmission, then the corners of the event loop: the smallest
 # population, saturation (S reaches 0) without and with tracing, every edge
-# manual, and every edge app-app
+# manual, and every edge app-app; last, the corners of the count-only loop
+# (no traceable edge): the smallest population and saturation with diagnosis
 AGREEMENT_ROWS = [
     dict(p=0.0, pi=0.0),
     dict(p=0.0, pi=2 / 3),
@@ -230,12 +231,14 @@ AGREEMENT_ROWS = [
     dict(beta=50.0),
     dict(p=1.0, pi=0.0),
     dict(p=0.0, pi=1.0),
+    dict(p=0.0, pi=0.0, n=2),
+    dict(p=0.0, pi=0.0, beta=50.0),
 ]
 
 
 @pytest.mark.parametrize("n, runs", [(300, 120), (5000, 40)])
 def test_component_labels_reproduce_tree_oracle(n, runs):
-    # 12 * (120 + 40) = 1920 runs in all, compared on every outcome field
+    # 14 * (120 + 40) = 2240 runs in all, compared on every outcome field
     for row in AGREEMENT_ROWS:
         params = small(**{"n": n, **row})
         want = [run_epidemic_tree(params, run_seed(31, i))[0] for i in range(runs)]
@@ -262,10 +265,12 @@ def test_allocation_per_run_is_o_final_size():
 
 
 def test_ensemble_determinism_across_workers():
-    p = small(n=300)
-    one = ensemble_outcomes(p, 60, seed=9, workers=1)
-    two = ensemble_outcomes(p, 60, seed=9, workers=2)
-    assert one == two
+    # a tracing row, then an untraceable one (the count-only loop)
+    for row in (dict(), dict(p=0.0, pi=0.0)):
+        p = small(n=300, **row)
+        one = ensemble_outcomes(p, 60, seed=9, workers=1)
+        two = ensemble_outcomes(p, 60, seed=9, workers=2)
+        assert one == two
 
 
 def test_run_seed_pure():
