@@ -6,10 +6,16 @@ Subcommands: ``analytic`` (closed-form digital-tracing quantities),
 curves / heatmaps, with built-in named datasets) and ``table2`` (the
 four-scenario reference table with pass/fail flags).
 
+``OPTIONS`` is the one list of options: for each, its default in every
+subcommand that reads it, the check every value passes (from a flag or the
+config file), its flag and whether the config file may set it.  A
+subcommand takes only the flags it reads.  The JSON config file is shared by
+all subcommands: every value in it is checked, then the keys this subcommand
+does not read are ignored.  Precedence: defaults, config file, flags.
+
 All randomness flows from a single seed (default ``DEFAULT_SEED``, a fixed
 constant so bare invocations are reproducible); the thread setting changes
-wall time only, never results.  Precedence: built-in defaults, then the JSON
-config file, then command-line flags.
+wall time only, never results.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .component import naive_combined_r, r_component_combined
@@ -32,8 +39,9 @@ from .digital import (
     r_individual_digital,
     r_manual,
 )
-from .epidemic import ensemble_outcomes, run_ensemble, summarize_ensemble
+from .epidemic import MAJOR_THRESHOLD, ensemble_outcomes, run_ensemble, summarize_ensemble
 from .params import (
+    PARAM_KEYS,
     InvalidParams,
     Params,
     _is_whole,
@@ -41,21 +49,18 @@ from .params import (
     params_to_dict,
     r0,
 )
-from .sweep import builtin_datasets, builtin_names, critical_curve, heatmap_grid
 from .sweep import (
-    CURVE_HEADER,
     DEFAULT_REPLICATES,
-    HEATMAP_HEADER,
     MCSettings,
-    SweepDataset,
-    curve_rows,
-    heatmap_rows,
-    profile,
+    builtin_datasets,
+    builtin_names,
+    spec_dataset,
     spec_from_json,
 )
 
 DEFAULT_SEED = 123456789
 DEFAULT_PARAMS = Params(beta=0.8, gamma=1 / 7, delta=1 / 7, pi=2 / 3, p=2 / 3, n=5000)
+FORMATS = ("csv", "json")
 
 # Reference scenarios checked by `epict table2`: (p, pi), the analytic or
 # simulated reproduction number, the published major-outbreak fraction and
@@ -75,33 +80,82 @@ def _log(msg: str) -> None:
 
 def _whole(name: str, value) -> int:
     """``value`` as an int, never silently truncated (JSON true is not 1)."""
-    if isinstance(value, bool) or not _is_whole(value):
+    if not _is_whole(value):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
-def _resolve_threads(value) -> int:
-    if value in (None, "auto"):
+def _threads(name: str, value) -> int:
+    if value == "auto":
         return os.cpu_count() or 1
-    k = int(value) if isinstance(value, str) else _whole("threads", value)
+    k = int(value) if isinstance(value, str) else _whole(name, value)
     if k < 1:
-        raise ValueError("threads must be >= 1 or 'auto'")
+        raise ValueError(f"{name} must be >= 1 or 'auto'")
     return k
 
 
-@dataclass
-class RunConfig:
-    params: Params
-    seed: int
-    workers: int
-    replicates: int | None  # None: the sweep's own default
-    runs: int
-    out: str | None
-    fmt: str
-    strict: bool
-    sweep_name: str | None
-    sweep_spec_json: str | None
-    out_dir: str
+def _path(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a file path, got {value!r}")
+    return value
+
+
+def _format(name: str, value) -> str:
+    if value not in FORMATS:
+        raise ValueError(f"{name} must be one of {', '.join(FORMATS)}, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class Option:
+    reads: dict                 # subcommand -> default, for each subcommand that reads it
+    # (name, value) -> the value to use, for every value from a flag or the config file
+    check: Callable = lambda name, value: value
+    flag: dict | None = None    # argparse keywords of its --flag; None: config file only
+    in_file: bool = False       # whether the config file may set it
+
+
+def _reads(commands: str, default=None) -> dict:
+    return dict.fromkeys(commands.split(), default)
+
+
+MODEL = "analytic component-mc epidemic table2"  # read the model and write a report
+RANDOM = "component-mc epidemic sweep table2"    # draw random numbers
+
+OPTIONS = {
+    "config": Option(_reads("analytic component-mc epidemic sweep table2"),
+                     flag={"help": "JSON config file, shared by all subcommands"}),
+    "params": Option(_reads(MODEL, {}), lambda name, value: params_from_dict(
+        value, base=DEFAULT_PARAMS), in_file=True),
+    **{name: Option(_reads(MODEL), flag={"type": float}) for name in ("beta", "gamma", "delta")},
+    # table2 fixes pi and p in its four rows
+    **{name: Option(_reads("analytic component-mc epidemic"), flag={"type": float})
+       for name in ("pi", "p")},
+    "n": Option(_reads(MODEL), flag={"type": int, "help": "population size"}),
+    "seed": Option(_reads(RANDOM, DEFAULT_SEED), _whole,
+                   {"type": int, "help": f"master seed (default {DEFAULT_SEED})"}, True),
+    "threads": Option(_reads(RANDOM, "auto"), _threads,
+                      {"help": "worker processes, integer or 'auto' (component Monte "
+                               "Carlo: only above 65536 replicates)"}, True),
+    # None: the sweep's own default, DEFAULT_REPLICATES
+    "replicates": Option({"component-mc": 10**6, "sweep": None, "table2": 10**6}, _whole,
+                         {"type": int, "help": "Monte Carlo replicates per root type "
+                          f"(sweep: base replicates per evaluation, default "
+                          f"{DEFAULT_REPLICATES})"}, True),
+    "runs": Option(_reads("epidemic table2", 10**4), _whole,
+                   {"type": int, "help": "epidemic runs (table2: per scenario)"}, True),
+    "out": Option(_reads(MODEL), _path, {"help": "output file path"}, True),
+    "format": Option(_reads(MODEL, "csv"), _format,
+                     {"choices": FORMATS, "help": "output file format"}, True),
+    "sweep": Option(_reads("sweep"), lambda name, value: spec_from_json(json.dumps(value)),
+                    in_file=True),
+    "spec": Option(_reads("sweep"),
+                   flag={"choices": builtin_names(), "help": "built-in dataset name"}),
+    "out_dir": Option(_reads("sweep", "."), flag={"help": "directory for CSV outputs"}),
+    "strict": Option(_reads("table2", False),
+                     flag={"action": "store_true",
+                           "help": "exit nonzero if any check flags fail"}),
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -111,51 +165,30 @@ def _load_config_file(path: str | None) -> dict:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
-    known = {"params", "seed", "threads", "replicates", "runs", "out", "format", "sweep"}
-    unknown = sorted(set(obj) - known)
+    unknown = sorted(k for k in obj if k not in OPTIONS or not OPTIONS[k].in_file)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     return obj
 
 
-def _build_config(args) -> RunConfig:
-    cfg = _load_config_file(getattr(args, "config", None))
-    params = DEFAULT_PARAMS
-    if "params" in cfg:
-        params = params_from_dict(cfg["params"], base=params)
-    overrides = {}
-    for name in ("beta", "gamma", "delta", "pi", "p", "n"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    if overrides:
-        params = params_from_dict(overrides, base=params)
-    seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
-    threads = args.threads if args.threads is not None else cfg.get("threads", "auto")
-    replicates = (
-        args.replicates
-        if getattr(args, "replicates", None) is not None
-        else cfg.get("replicates", None if args.command == "sweep" else 10**6)
-    )
-    runs = args.runs if getattr(args, "runs", None) is not None else cfg.get("runs", 10**4)
-    out = getattr(args, "out", None) or cfg.get("out")
-    fmt = getattr(args, "format", None) or cfg.get("format", "csv")
-    sweep_spec_json = None
-    if isinstance(cfg.get("sweep"), dict):
-        sweep_spec_json = json.dumps(cfg["sweep"])
-    return RunConfig(
-        params=params,
-        seed=_whole("seed", seed),
-        workers=_resolve_threads(threads),
-        replicates=None if replicates is None else _whole("replicates", replicates),
-        runs=_whole("runs", runs),
-        out=out,
-        fmt=fmt,
-        strict=bool(getattr(args, "strict", False)),
-        sweep_name=getattr(args, "spec", None),
-        sweep_spec_json=sweep_spec_json,
-        out_dir=getattr(args, "out_dir", None) or ".",
-    )
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Each option the subcommand reads: its flag, else the config file, else
+    its default, through the option's check; the model flags then override
+    the config file's ``params``."""
+    file = _load_config_file(args.config)
+    for name, value in file.items():
+        OPTIONS[name].check(name, value)
+    opts = argparse.Namespace()
+    for name, option in OPTIONS.items():
+        if args.command in option.reads:
+            value = getattr(args, name, None)
+            if value is None:
+                value = file.get(name, option.reads[args.command])
+            setattr(opts, name, None if value is None else option.check(name, value))
+    if hasattr(opts, "params"):
+        flags = {k: getattr(opts, k) for k in PARAM_KEYS if getattr(opts, k, None) is not None}
+        opts.params = params_from_dict(flags, base=opts.params)
+    return opts
 
 
 def _none_if_nan(x: float) -> float | None:
@@ -171,11 +204,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _emit(report: dict, config: RunConfig, text: str) -> None:
+def _emit(report: dict, opts: argparse.Namespace, text: str) -> None:
     print(text)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            if config.fmt == "json":
+    if opts.out:
+        with open(opts.out, "w", encoding="utf-8") as fh:
+            if opts.format == "json":
                 json.dump(report, fh, indent=2)
                 fh.write("\n")
             else:
@@ -186,20 +219,17 @@ def _emit(report: dict, config: RunConfig, text: str) -> None:
 
 
 def _flatten(obj, prefix=""):
-    items = []
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            items.extend(_flatten(v, f"{prefix}{k}."))
+        pairs = obj.items()
     elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            items.extend(_flatten(v, f"{prefix}{i}."))
+        pairs = enumerate(obj)
     else:
-        items.append((prefix.rstrip("."), obj))
-    return items
+        return [(prefix.rstrip("."), obj)]
+    return [item for k, v in pairs for item in _flatten(v, f"{prefix}{k}.")]
 
 
-def cmd_analytic(config: RunConfig) -> int:
-    p = config.params
+def cmd_analytic(opts: argparse.Namespace) -> int:
+    p = opts.params
     matrix = offspring_matrix_digital(p)
     report = {
         "params": params_to_dict(p),
@@ -225,23 +255,19 @@ def cmd_analytic(config: RunConfig) -> int:
             f"R_D  (individual)    = {report['r_individual_digital']:.6f}",
         ]
     )
-    _emit(report, config, text)
+    _emit(report, opts, text)
     return 0
 
 
-def cmd_component_mc(config: RunConfig) -> int:
-    p = config.params
-    _log(f"[component-mc] estimating with {config.replicates} replicates per root type")
-    est = r_component_combined(
-        p, config.replicates, seed=config.seed, workers=config.workers
-    )
-    naive = naive_combined_r(
-        p, config.replicates, seed=config.seed, workers=config.workers
-    )
+def cmd_component_mc(opts: argparse.Namespace) -> int:
+    p = opts.params
+    _log(f"[component-mc] estimating with {opts.replicates} replicates per root type")
+    est = r_component_combined(p, opts.replicates, seed=opts.seed, workers=opts.threads)
+    naive = naive_combined_r(p, opts.replicates, seed=opts.seed, workers=opts.threads)
     m = est.matrix
     report = {
         "params": params_to_dict(p),
-        "replicates": config.replicates,
+        "replicates": opts.replicates,
         "matrix": {
             "mean": [m.mean.m11, m.mean.m12, m.mean.m21, m.mean.m22],
             "se": list(m.se),
@@ -273,12 +299,8 @@ def cmd_component_mc(config: RunConfig) -> int:
         analytic = offspring_matrix_digital(p)
         checks = {}
         ok_all = True
-        for name, got, se, want in [
-            ("m11", m.mean.m11, m.se[0], analytic.m11),
-            ("m12", m.mean.m12, m.se[1], analytic.m12),
-            ("m21", m.mean.m21, m.se[2], analytic.m21),
-            ("m22", m.mean.m22, m.se[3], analytic.m22),
-        ]:
+        for name, se in zip(("m11", "m12", "m21", "m22"), m.se):
+            got, want = getattr(m.mean, name), getattr(analytic, name)
             # an element can be exact (se 0, e.g. m21 = beta*pi/(gamma+delta)
             # at p = 0): allow the rounding of a mean of equal terms
             ok = abs(got - want) <= 3 * se + 1e-12 * max(1.0, abs(want))
@@ -290,45 +312,45 @@ def cmd_component_mc(config: RunConfig) -> int:
             )
         report["analytic_check"] = checks
         lines.append(f"analytic cross-check overall: {'pass' if ok_all else 'FAIL'}")
-    _emit(report, config, "\n".join(lines))
+    _emit(report, opts, "\n".join(lines))
     return 0
 
 
-def cmd_epidemic(config: RunConfig) -> int:
-    p = config.params
-    _log(f"[epidemic] {config.runs} runs, n={p.n}, threads={config.workers}")
-    outcomes = ensemble_outcomes(p, config.runs, config.seed, workers=config.workers)
+def cmd_epidemic(opts: argparse.Namespace) -> int:
+    p = opts.params
+    _log(f"[epidemic] {opts.runs} runs, n={p.n}, threads={opts.threads}")
+    outcomes = ensemble_outcomes(p, opts.runs, opts.seed, workers=opts.threads)
     summary = summarize_ensemble(outcomes, p.n)
     report = {
         "params": params_to_dict(p),
         "runs": summary.runs,
-        "seed": config.seed,
-        "major_threshold": summary.major_threshold,
+        "seed": opts.seed,
+        "major_threshold": MAJOR_THRESHOLD,
         "major_fraction": summary.major_fraction,
         "major_fraction_ci": list(summary.major_fraction_ci),
         "mean_major_size": _none_if_nan(summary.mean_major_size),
         "major_size_se": _none_if_nan(summary.major_size_se),
     }
-    if config.out:
-        cutoff = summary.major_threshold * p.n
+    if opts.out:
+        cutoff = MAJOR_THRESHOLD * p.n
         header = ["run_index", "final_size", "peak_infectious", "duration", "major_flag"]
         rows = [
             [i, o.final_size, o.peak_infectious, o.duration, int(o.final_size > cutoff)]
             for i, o in enumerate(outcomes)
         ]
-        if config.fmt == "json":
-            with open(config.out, "w", encoding="utf-8") as fh:
+        if opts.format == "json":
+            with open(opts.out, "w", encoding="utf-8") as fh:
                 json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
                 fh.write("\n")
         else:
             for row in rows:
                 row[3] = f"{row[3]:.6f}"
-            _write_csv(config.out, header, rows)
-        summary_path = os.path.splitext(config.out)[0] + ".summary.json"
+            _write_csv(opts.out, header, rows)
+        summary_path = os.path.splitext(opts.out)[0] + ".summary.json"
         with open(summary_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        _log(f"[epidemic] wrote {config.out} and {summary_path}")
+        _log(f"[epidemic] wrote {opts.out} and {summary_path}")
     size = "n/a" if math.isnan(summary.mean_major_size) else f"{summary.mean_major_size:.4f}"
     print(
         f"major fraction = {summary.major_fraction:.4f} "
@@ -338,40 +360,22 @@ def cmd_epidemic(config: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    os.makedirs(config.out_dir, exist_ok=True)
-    if config.sweep_name:
-        name = config.sweep_name
+def cmd_sweep(opts: argparse.Namespace) -> int:
+    os.makedirs(opts.out_dir, exist_ok=True)
+    if opts.spec:
+        name = opts.spec
         datasets = builtin_datasets(
-            name, seed=config.seed, replicates=config.replicates, workers=config.workers
+            name, seed=opts.seed, replicates=opts.replicates, workers=opts.threads
         )
-    elif config.sweep_spec_json:
-        spec = spec_from_json(config.sweep_spec_json)
-        name = f"sweep_{spec.target.value}"
-        replicates = DEFAULT_REPLICATES if config.replicates is None else config.replicates
-        mc = MCSettings(replicates, config.seed, config.workers)
-        if spec.solve is not None:
-            datasets = [SweepDataset("curve", CURVE_HEADER, curve_rows(critical_curve(spec, mc)))]
-        elif spec.second_axis is not None:
-            datasets = [
-                SweepDataset("heatmap", HEATMAP_HEADER, heatmap_rows(heatmap_grid(spec, mc)))
-            ]
-        else:
-            rows = [
-                [x, ev.value if math.isfinite(ev.value) else None,
-                 ev.ci_low if ev.has_ci else None,
-                 ev.ci_high if ev.has_ci else None, ev.status]
-                for x, ev in profile(spec, mc)
-            ]
-            datasets = [
-                SweepDataset("profile",
-                             ["abscissa", "value", "ci_low", "ci_high", "status"], rows)
-            ]
+    elif opts.sweep:
+        name = f"sweep_{opts.sweep.target.value}"
+        replicates = DEFAULT_REPLICATES if opts.replicates is None else opts.replicates
+        datasets = [spec_dataset(opts.sweep, MCSettings(replicates, opts.seed, opts.threads))]
     else:
         _log("[sweep] need --spec NAME or a config file with a 'sweep' object")
         return 2
     for ds in datasets:
-        path = os.path.join(config.out_dir, f"{name}_{ds.suffix}.csv")
+        path = os.path.join(opts.out_dir, f"{name}_{ds.suffix}.csv")
         _write_csv(path, ds.header, ds.rows)
         _log(f"[sweep] wrote {path} ({len(ds.rows)} rows)")
     return 0
@@ -386,9 +390,9 @@ def _flag(value, ref, tol, ci) -> str:
     return "fail"
 
 
-def cmd_table2(config: RunConfig) -> int:
-    base = config.params
-    runs = config.runs
+def cmd_table2(opts: argparse.Namespace) -> int:
+    base = opts.params
+    runs = opts.runs
     tol_major = 0.02 if runs >= 10**4 else 0.04
     tol_size = 0.03 if runs >= 10**4 else 0.05
     rows = []
@@ -402,12 +406,11 @@ def cmd_table2(config: RunConfig) -> int:
             r_ci = (r_value, r_value)
             r_tol = 0.005
         else:
-            est = r_component_combined(
-                p, config.replicates, seed=config.seed + i, workers=config.workers
-            )
+            est = r_component_combined(p, opts.replicates, seed=opts.seed + i,
+                                       workers=opts.threads)
             r_value, r_ci = est.value, (est.ci_low, est.ci_high)
             r_tol = 0.02
-        summary = run_ensemble(p, runs, config.seed + 100 + i, workers=config.workers)
+        summary = run_ensemble(p, runs, opts.seed + 100 + i, workers=opts.threads)
         if summary.major_count:
             size_ci = (
                 summary.mean_major_size - 1.96 * summary.major_size_se,
@@ -437,14 +440,14 @@ def cmd_table2(config: RunConfig) -> int:
         flags.extend([row["r_flag"], row["major_flag"], row["size_flag"]])
     naive = naive_combined_r(
         Params(base.beta, base.gamma, base.delta, 2 / 3, 2 / 3, base.n),
-        config.replicates, seed=config.seed + 50, workers=config.workers,
+        opts.replicates, seed=opts.seed + 50, workers=opts.threads,
     )
     naive_flag = _flag(naive.value, TABLE2_NAIVE_REF, 0.02, (naive.ci_low, naive.ci_high))
     flags.append(naive_flag)
     report = {
         "runs": runs,
-        "replicates": config.replicates,
-        "seed": config.seed,
+        "replicates": opts.replicates,
+        "seed": opts.seed,
         "tolerances": {"reproduction": "0.005 analytic / 0.02 MC",
                        "major_fraction": tol_major, "major_size": tol_size},
         "rows": rows,
@@ -466,22 +469,19 @@ def cmd_table2(config: RunConfig) -> int:
         f"independence product = {naive.value:.4f} vs ref {TABLE2_NAIVE_REF:.2f}"
         f" -> {naive_flag}"
     )
-    _emit(report, config, "\n".join(lines))
-    if config.strict and any(f == "fail" for f in flags):
+    _emit(report, opts, "\n".join(lines))
+    if opts.strict and any(f == "fail" for f in flags):
         return 1
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    parser.add_argument("--threads", help="worker processes, integer or 'auto' "
-                        "(component Monte Carlo: only above 65536 replicates)")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=["csv", "json"], help="output file format")
-    for name in ("beta", "gamma", "delta", "pi", "p"):
-        parser.add_argument(f"--{name}", type=float)
-    parser.add_argument("--n", type=int, help="population size")
+COMMANDS = {
+    "analytic": (cmd_analytic, "closed-form digital-tracing quantities"),
+    "component-mc": (cmd_component_mc, "Monte Carlo combined-model estimates"),
+    "epidemic": (cmd_epidemic, "finite-population outbreak ensemble"),
+    "sweep": (cmd_sweep, "critical curves and heatmaps"),
+    "table2": (cmd_table2, "four-scenario reference table with flags"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,50 +489,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="epict",
         description="Reproduction numbers and outbreak simulation for SIR "
                     "epidemics with digital and manual contact tracing.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"epict {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analytic", help="closed-form digital-tracing quantities")
-    _add_common(sp)
-
-    sp = sub.add_parser("component-mc", help="Monte Carlo combined-model estimates")
-    _add_common(sp)
-    sp.add_argument("--replicates", type=int, help="replicates per root type")
-
-    sp = sub.add_parser("epidemic", help="finite-population outbreak ensemble")
-    _add_common(sp)
-    sp.add_argument("--runs", type=int, help="number of epidemics")
-
-    sp = sub.add_parser("sweep", help="critical curves and heatmaps")
-    _add_common(sp)
-    sp.add_argument("--spec", choices=builtin_names(), help="built-in dataset name")
-    sp.add_argument("--replicates", type=int,
-                    help="base Monte Carlo replicates per evaluation (default 20000)")
-    sp.add_argument("--out-dir", dest="out_dir", help="directory for CSV outputs")
-
-    sp = sub.add_parser("table2", help="four-scenario reference table with flags")
-    _add_common(sp)
-    sp.add_argument("--runs", type=int, help="epidemic runs per scenario")
-    sp.add_argument("--replicates", type=int, help="replicates per root type")
-    sp.add_argument("--strict", action="store_true",
-                    help="exit nonzero if any check flags fail")
-
+    for command, (_, text) in COMMANDS.items():
+        # no abbreviations: a dropped --out must not be read as --out-dir
+        sp = sub.add_parser(command, help=text, allow_abbrev=False)
+        for name, option in OPTIONS.items():
+            if option.flag is not None and command in option.reads:
+                sp.add_argument("--" + name.replace("_", "-"), **option.flag)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _build_config(args)
-        handler = {
-            "analytic": cmd_analytic,
-            "component-mc": cmd_component_mc,
-            "epidemic": cmd_epidemic,
-            "sweep": cmd_sweep,
-            "table2": cmd_table2,
-        }[args.command]
-        return handler(config)
+        return COMMANDS[args.command][0](_resolve(args))
     except (InvalidParams, DivergentSeries, ValueError) as exc:
         _log(f"error: {exc}")
         return 1

@@ -265,10 +265,12 @@ def _run_untraced(params: Params, uniform) -> EpidemicOutcome:
     )
 
 
+MAJOR_THRESHOLD = 0.10  # an outbreak is major when it infects more than this fraction of n
+
+
 @dataclass(frozen=True)
 class EnsembleSummary:
     runs: int
-    major_threshold: float
     major_count: int
     major_fraction: float
     major_fraction_ci: tuple[float, float]  # 95% Wilson interval
@@ -305,11 +307,9 @@ def ensemble_outcomes(
     return outcomes
 
 
-def summarize_ensemble(
-    outcomes: list[EpidemicOutcome], n: int, major_threshold: float = 0.10
-) -> EnsembleSummary:
+def summarize_ensemble(outcomes: list[EpidemicOutcome], n: int) -> EnsembleSummary:
     runs = len(outcomes)
-    cutoff = major_threshold * n
+    cutoff = MAJOR_THRESHOLD * n
     sizes = [o.final_size / n for o in outcomes if o.final_size > cutoff]
     major = len(sizes)
     if major:
@@ -324,7 +324,6 @@ def summarize_ensemble(
         size_se = float("nan")
     return EnsembleSummary(
         runs=runs,
-        major_threshold=major_threshold,
         major_count=major,
         major_fraction=major / runs,
         major_fraction_ci=wilson_interval(major, runs),
@@ -333,15 +332,7 @@ def summarize_ensemble(
     )
 
 
-def run_ensemble(
-    params: Params,
-    runs: int,
-    seed: int,
-    major_threshold: float = 0.10,
-    workers: int = 1,
-) -> EnsembleSummary:
+def run_ensemble(params: Params, runs: int, seed: int, workers: int = 1) -> EnsembleSummary:
     """Ensemble of epidemics reduced to major-outbreak statistics."""
-    if not 0.0 < major_threshold < 1.0:
-        raise ValueError("major_threshold must be in (0,1)")
     outcomes = ensemble_outcomes(params, runs, seed, workers)
-    return summarize_ensemble(outcomes, params.n, major_threshold)
+    return summarize_ensemble(outcomes, params.n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -23,7 +24,9 @@ PARAM_KEYS = ("beta", "gamma", "delta", "pi", "p", "n")
 
 
 def _is_whole(value) -> bool:
-    """True for a finite number with no fractional part."""
+    """True for a finite number with no fractional part (JSON true is not 1)."""
+    if isinstance(value, bool):
+        return False
     try:
         return int(value) == value
     except (OverflowError, ValueError, TypeError):  # infinite, NaN, not a number
@@ -35,6 +38,13 @@ def _population_size(value) -> int:
     if not _is_whole(value):
         raise InvalidParams("n must be a positive integer")
     return int(value)
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; booleans and strings are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParams(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,11 @@ def params_from_dict(obj: dict, base: Params | None = None) -> Params:
     Allowed keys are exactly ``beta, gamma, delta, pi, p, n``; anything else
     is rejected so misspelt sweep configs fail loudly.  With ``base`` given,
     missing keys fall back to the base values; otherwise the five rates and
-    fractions are required and ``n`` defaults to 1.
+    fractions are required and ``n`` defaults to 1.  Every value must be a
+    JSON number: ``true`` and ``"0.5"`` are refused, not converted.
     """
+    if not isinstance(obj, dict):
+        raise InvalidParams("parameters must be a JSON object")
     unknown = sorted(set(obj) - set(PARAM_KEYS))
     if unknown:
         raise InvalidParams(f"unknown parameter key(s): {', '.join(unknown)}")
@@ -120,24 +133,15 @@ def params_from_dict(obj: dict, base: Params | None = None) -> Params:
         missing = [k for k in ("beta", "gamma", "delta", "pi", "p") if k not in obj]
         if missing:
             raise InvalidParams(f"missing parameter key(s): {', '.join(missing)}")
-        return Params(
-            beta=float(obj["beta"]),
-            gamma=float(obj["gamma"]),
-            delta=float(obj["delta"]),
-            pi=float(obj["pi"]),
-            p=float(obj["p"]),
-            n=_population_size(obj.get("n", 1)),
-        )
+        rates = {k: _number(k, obj[k]) for k in ("beta", "gamma", "delta", "pi", "p")}
+        return Params(**rates, n=_population_size(obj.get("n", 1)))
     merged = params_to_dict(base)
     merged.update(obj)
     return params_from_dict(merged)
 
 
 def params_from_json(text: str) -> Params:
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise InvalidParams("parameter JSON must be an object")
-    return params_from_dict(obj)
+    return params_from_dict(json.loads(text))
 
 
 def params_to_dict(params: Params) -> dict:

@@ -28,7 +28,7 @@ import numpy as np
 from ._util import float_key, mix64
 from .component import naive_combined_r, r_component_combined
 from .digital import DivergentSeries, r_component_digital, r_individual_digital, r_manual
-from .params import AXIS_NAMES, Params, params_from_dict, with_param
+from .params import AXIS_NAMES, Params, _is_whole, _number, params_from_dict, with_param
 
 
 class Target(enum.Enum):
@@ -82,6 +82,13 @@ class SolveSpec:
     def __post_init__(self):
         if self.coordinate not in AXIS_NAMES:
             raise ValueError(f"unknown solve coordinate: {self.coordinate!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("solve bracket ends lo and hi must be finite")
+        # NaN fails every comparison, so these are written to pass only valid values
+        if not 0.0 <= self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and >= 0, got {self.residual_tol!r}")
+        if not 0.0 < self.coord_tol < math.inf:
+            raise ValueError(f"coord_tol must be finite and > 0, got {self.coord_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -121,17 +128,20 @@ def spec_from_json(text: str) -> SweepSpec:
 
     def axis(what):
         d = _keys(obj[what], what, ("name", "start", "stop", "points"))
-        return AxisSpec(d["name"], float(d["start"]), float(d["stop"]), int(d["points"]))
+        if not _is_whole(d["points"]):
+            raise ValueError(f"{what} points must be a whole number, got {d['points']!r}")
+        return AxisSpec(d["name"], _number(f"{what} start", d["start"]),
+                        _number(f"{what} stop", d["stop"]), int(d["points"]))
 
     solve = obj.get("solve")
     if solve is not None:
         _keys(solve, "solve", ("coordinate", "lo", "hi"), ("residual_tol", "coord_tol"))
         solve = SolveSpec(
             solve["coordinate"],
-            float(solve["lo"]),
-            float(solve["hi"]),
-            float(solve.get("residual_tol", 1e-9)),
-            float(solve.get("coord_tol", 1e-3)),
+            _number("solve lo", solve["lo"]),
+            _number("solve hi", solve["hi"]),
+            _number("solve residual_tol", solve.get("residual_tol", 1e-9)),
+            _number("solve coord_tol", solve.get("coord_tol", 1e-3)),
         )
     return SweepSpec(
         target=Target(obj["target"]),
@@ -148,10 +158,6 @@ class TargetEval:
     ci_low: float
     ci_high: float
     status: str = "ok"
-
-    @property
-    def has_ci(self) -> bool:
-        return math.isfinite(self.ci_low) and math.isfinite(self.ci_high)
 
 
 def evaluate_target(
@@ -236,7 +242,9 @@ def find_critical(
     midpoint with its ``REPORT_Z`` interval attached.
 
     Solving in ``pi`` runs a monotonicity pre-scan first, because component
-    reproduction numbers need not be monotone in the app fraction.
+    reproduction numbers need not be monotone in the app fraction.  The scan
+    ends exactly at ``hi``, and a repeated (coordinate, z) reuses the first
+    evaluation, which a Monte Carlo repeat, seeded by the same bits, equals.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -247,7 +255,7 @@ def find_critical(
             raise ValueError(f"target {target.value} needs mc settings")
         tol = 0.0  # the interval itself carries the uncertainty
 
-    def evaluate(x, z=DECISION_Z):
+    def evaluate_once(x, z):
         params = with_param(fixed, solve_coordinate, x)
         if not sampled:
             return evaluate_target(target, params)
@@ -263,13 +271,21 @@ def find_critical(
             reps *= 4
         return ev
 
+    made = {}
+
+    def evaluate(x, z=DECISION_Z):
+        key = (float_key(x), z)
+        if key not in made:
+            made[key] = evaluate_once(x, z)
+        return made[key]
+
     def root(x, ev):
         return CurvePoint(abscissa, x, abs(ev.value - 1.0), ev.ci_low, ev.ci_high)
 
     if solve_coordinate == "pi":
         # nine-point scan over all ordered pairs; only reversals separated
         # by more than tol count (divergent points sit above every finite one)
-        vals = [evaluate(lo + (hi - lo) * i / 8) for i in range(9)]
+        vals = [evaluate(lo + (hi - lo) * i / 8) for i in range(8)] + [evaluate(hi)]
         pairs = [(a, b) for i, a in enumerate(vals) for b in vals[i + 1:]]
         rising = any(b.ci_low - a.ci_high > tol for a, b in pairs)
         falling = any(a.ci_low - b.ci_high > tol for a, b in pairs)
@@ -389,10 +405,18 @@ def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, 
 
 
 # ---------------------------------------------------------------------------
-# CSV row helpers (string formatting stays in the CLI)
+# Datasets and their CSV rows (string formatting stays in the CLI)
 
 CURVE_HEADER = ["abscissa", "critical_value", "residual", "ci_low", "ci_high", "status"]
 HEATMAP_HEADER = ["axis1", "axis2", "value", "ci_low", "ci_high", "status"]
+PROFILE_HEADER = ["abscissa", "value", "ci_low", "ci_high", "status"]
+
+
+@dataclass(frozen=True)
+class SweepDataset:
+    suffix: str
+    header: list[str]
+    rows: list[list]
 
 
 def _num(x) -> float | None:
@@ -417,19 +441,24 @@ def heatmap_rows(grid: HeatmapGrid) -> list[list]:
     return rows
 
 
+def spec_dataset(spec: SweepSpec, mc: MCSettings) -> SweepDataset:
+    """The one dataset of a custom spec: a critical curve when it solves, a
+    heatmap when it has a second axis, a profile along its free axis otherwise."""
+    if spec.solve is not None:
+        return SweepDataset("curve", CURVE_HEADER, curve_rows(critical_curve(spec, mc)))
+    if spec.second_axis is not None:
+        return SweepDataset("heatmap", HEATMAP_HEADER, heatmap_rows(heatmap_grid(spec, mc)))
+    rows = [[x, _num(ev.value), _num(ev.ci_low), _num(ev.ci_high), ev.status]
+            for x, ev in profile(spec, mc)]
+    return SweepDataset("profile", PROFILE_HEADER, rows)
+
+
 # ---------------------------------------------------------------------------
 # Built-in figure datasets
 
 FIGURE_BETA = 6.0 / 7.0
 FIGURE_GAMMA = 1.0 / 7.0
 MAX_TESTING_FRACTION = 5.0 / 6.0  # where beta/(gamma+delta) reaches 1 for beta/gamma=6
-
-
-@dataclass(frozen=True)
-class SweepDataset:
-    suffix: str
-    header: list[str]
-    rows: list[list]
 
 
 def _figure_base(delta: float) -> Params:

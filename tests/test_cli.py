@@ -368,3 +368,108 @@ def test_epidemic_json_runs_file(capsys, tmp_path):
         assert f"{record['duration']:.6f}" == row["duration"]
         assert {k: str(v) for k, v in record.items() if k != "duration"} == {
             k: v for k, v in row.items() if k != "duration"}
+
+
+# (subcommand, flag, value) pairs that change no output and are refused:
+# analytic draws no random numbers, built-in sweeps fix their own parameters
+# (custom specs carry theirs in "fixed") and write CSV files into --out-dir,
+# and table2 fixes p and pi in its four rows
+REMOVED_FLAGS = [
+    ("analytic", "--seed", "1"),
+    ("analytic", "--threads", "1"),
+    ("sweep", "--out", "y.json"),
+    ("sweep", "--format", "json"),
+    ("sweep", "--beta", "0.8"),
+    ("sweep", "--gamma", "0.2"),
+    ("sweep", "--delta", "0.2"),
+    ("sweep", "--pi", "0.3"),
+    ("sweep", "--p", "0.3"),
+    ("sweep", "--n", "100"),
+    ("table2", "--pi", "0.3"),
+    ("table2", "--p", "0.3"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS)
+def test_unread_flags_refused(capsys, tmp_path, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    spec = ["--spec", "fig4"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *spec, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    # in particular, sweep --out is not taken as an abbreviation of --out-dir
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flag_count():
+    import argparse
+
+    from epict.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    pairs = {(command, flag) for command, parser in sub.choices.items()
+             for action in parser._actions for flag in action.option_strings
+             if flag not in ("-h", "--help")}
+    assert len(pairs) == 51
+    assert not pairs & {(command, flag) for command, flag, _ in REMOVED_FLAGS}
+
+
+@pytest.mark.parametrize("command", ["analytic", "component-mc", "epidemic", "sweep", "table2"])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"format": "xml"}', "error: format must be one of csv, json, got 'xml'"),
+    ('{"out": 1}', "error: out must be a file path, got 1"),
+    ('{"params": {"n": true}}', "error: n must be a positive integer"),
+    ('{"params": {"beta": "0.8"}}', "error: beta must be a number, got '0.8'"),
+    ('{"params": [0.8]}', "error: parameters must be a JSON object"),
+])
+def test_bad_config_value_rejected(capsys, tmp_path, monkeypatch, text, message):
+    # {"format": "xml"} wrote CSV into x.xml, {"out": 1} wrote into stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    code, out, err = run_cli(capsys, "analytic", "--config", "cfg.json", "--out", "x.xml")
+    assert code == 1
+    assert message in err
+    assert out == "" and not (tmp_path / "x.xml").exists()
+
+
+def test_unread_config_values_still_checked(capsys, tmp_path):
+    # the config file is shared: sweep ignores "format" and analytic ignores
+    # "sweep", but each value must still pass its check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": R_DM_PROFILE, "format": "xml"}))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "error: format must be one of csv, json" in err
+    cfg.write_text(json.dumps({"sweep": {**R_DM_PROFILE, "target": "R_X"}}))
+    code, _, err = run_cli(capsys, "analytic", "--config", str(cfg))
+    assert code == 1
+    assert "error: 'R_X' is not a valid Target" in err
+
+
+@pytest.mark.parametrize("solve, message", [
+    ({"residual_tol": float("nan")}, "residual_tol must be finite and >= 0"),
+    ({"residual_tol": -1}, "residual_tol must be finite and >= 0"),
+    ({"coord_tol": 0}, "coord_tol must be finite and > 0"),
+])
+def test_sweep_unusable_tolerance_rejected(capsys, tmp_path, solve, message):
+    # NaN wrote every row as status ok at critical value 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": {
+        "target": "R_D",
+        "fixed": {"beta": 6 / 7, "gamma": 1 / 7, "delta": 1 / 7, "pi": 0.0, "p": 0.0},
+        "free_axis": {"name": "testing_fraction", "start": 0.3, "stop": 0.6, "points": 2},
+        "solve": {"coordinate": "pi", "lo": 0.3, "hi": 0.999, **solve},
+    }}))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert f"error: {message}" in err
+    assert not (tmp_path / "sweep_R_D_curve.csv").exists()

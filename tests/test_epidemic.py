@@ -298,11 +298,6 @@ def test_summary_no_major_outbreaks():
     assert math.isnan(s.mean_major_size)
 
 
-def test_major_threshold_validated():
-    with pytest.raises(ValueError):
-        run_ensemble(small(), 10, seed=1, major_threshold=1.5)
-
-
 # --------------------------------------------------------------------------
 # branching-theory oracles (no tracing)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -152,3 +153,24 @@ def test_whole_float_n_becomes_int():
     base = Params(beta=1.0, gamma=1.0, delta=0.0, pi=0.0, p=0.0, n=5)
     for q in (with_param(base, "n", 7.0), params_from_dict({"n": 7.0}, base=base)):
         assert q.n == 7 and type(q.n) is int
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", True, "n must be a positive integer"),
+    ("n", "7", "n must be a positive integer"),
+    ("beta", True, "beta must be a number, got True"),
+    ("pi", "0.5", "pi must be a number, got '0.5'"),
+    ("p", None, "p must be a number, got None"),
+])
+def test_non_number_json_values_rejected(key, value, message):
+    # JSON true is not 1 and a string is not a number, with or without a base
+    base = Params(beta=1.0, gamma=1.0, delta=0.0, pi=0.0, p=0.0, n=5)
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        params_from_dict({key: value}, base=base)
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        params_from_dict(dict(params_to_dict(base), **{key: value}))
+
+
+def test_params_json_must_be_an_object():
+    with pytest.raises(InvalidParams, match="must be a JSON object"):
+        params_from_json("[1, 2]")

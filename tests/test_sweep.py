@@ -118,6 +118,27 @@ def test_find_critical_pi_allowed_when_monotone():
     assert point.critical_value == pytest.approx(0.9428090415820582, abs=1e-6)
 
 
+def test_pi_prescan_reuses_its_evaluations(monkeypatch):
+    # the scan ends exactly at hi and serves the bracket ends and the first
+    # midpoint from its own evaluations: 9 scan points, no second look at
+    # either end, and a first midpoint that repeats scan point 4
+    import epict.sweep
+
+    calls = []
+    original = epict.sweep.evaluate_target
+
+    def spy(target, params, **kwargs):
+        calls.append(params.pi)
+        return original(target, params, **kwargs)
+
+    monkeypatch.setattr("epict.sweep.evaluate_target", spy)
+    fixed = with_param(FIG, "testing_fraction", 0.5)
+    point = find_critical(Target.R_D, "pi", (0.3, 0.999), fixed, tol=1e-9)
+    assert point.critical_value == 0.9428090415608604
+    assert len(calls) == 40 and len(set(calls)) == 40
+    assert calls[8] == 0.999
+
+
 def test_find_critical_mc_smoke():
     fixed = FIG  # pi=0: manual-only model
     mc = MCSettings(replicates=8_000, seed=77, workers=WORKERS)
@@ -301,6 +322,42 @@ def test_spec_from_json_rejects_unknown_and_missing_keys(edit, message):
     edit(obj)
     with pytest.raises(ValueError, match=re.escape(message)):
         spec_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["free_axis"].update(points=2.7), "free_axis points must be a whole number"),
+    (lambda d: d["free_axis"].update(points=True), "free_axis points must be a whole number"),
+    (lambda d: d["free_axis"].update(start="0.1"), "free_axis start must be a number"),
+    (lambda d: d["solve"].update(lo=False), "solve lo must be a number"),
+    (lambda d: d["solve"].update(coord_tol="0.01"), "solve coord_tol must be a number"),
+    (lambda d: d["fixed"].update(beta=True), "beta must be a number"),
+])
+def test_spec_from_json_rejects_non_numbers(edit, message):
+    # 2.7 points would be truncated to 2 rows, true read as 1, "0.1" as 0.1
+    obj = json.loads(json.dumps(SPEC_JSON))
+    edit(obj)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(residual_tol=math.nan), "residual_tol"),
+    (dict(residual_tol=-1.0), "residual_tol"),
+    (dict(residual_tol=math.inf), "residual_tol"),
+    (dict(coord_tol=math.nan), "coord_tol"),
+    (dict(coord_tol=0.0), "coord_tol"),
+    (dict(coord_tol=-1e-3), "coord_tol"),
+    (dict(coord_tol=math.inf), "coord_tol"),
+    (dict(lo=math.nan), "lo and hi must be finite"),
+    (dict(lo=-math.inf), "lo and hi must be finite"),
+    (dict(hi=math.inf), "lo and hi must be finite"),
+])
+def test_solve_spec_rejects_unusable_tolerances(kwargs, message):
+    # a NaN residual tolerance took every side decision as "root found", a
+    # negative one as "no root"
+    args = dict(coordinate="testing_fraction", lo=0.0, hi=FMAX)
+    with pytest.raises(ValueError, match=message):
+        SolveSpec(**{**args, **kwargs})
 
 
 def test_mc_target_requires_settings():
