@@ -1,5 +1,6 @@
-"""Shared plumbing: deterministic seed derivation, small statistics helpers,
-and an order-preserving process pool wrapper.
+"""Shared plumbing: deterministic seed derivation, counter-based uniform
+streams, small statistics helpers, and an order-preserving process pool
+wrapper.
 
 All Monte Carlo code in this package derives its randomness from a single
 64-bit master seed through :func:`mix64`, so results are reproducible and
@@ -12,10 +13,13 @@ import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_UNIT = 2.0**-53  # a draw's top 53 bits times this is uniform on [0, 1)
 
 
 def mix64(*parts: int) -> int:
@@ -40,6 +44,15 @@ def mix64_array(z):
     z *= _MIX2
     z ^= z >> 31
     return z
+
+
+def stream_uniforms(key: int, first: int, count: int):
+    """Draws ``first`` .. ``first + count - 1`` of the counter stream ``key``,
+    uniform on (0, 1]: draw j is the splitmix64 finaliser of the key plus j
+    golden-ratio increments, so any draw can be computed alone."""
+    j = np.arange(first, first + count, dtype=np.uint64)
+    z = mix64_array(j * np.uint64(_GOLDEN) + np.uint64(key))
+    return ((z >> np.uint64(11)) + 1.0) * _UNIT
 
 
 def float_key(x: float) -> int:

@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](_resolve(args))
-    except (InvalidParams, DivergentSeries, ValueError) as exc:
+    except (InvalidParams, DivergentSeries, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import (
-    _GOLDEN, _MASK64, _MIX1, _MIX2, chunk_ranges, map_ordered, mix64, mix64_array,
+    _GOLDEN, _MASK64, _MIX1, _MIX2, _UNIT, chunk_ranges, map_ordered, mix64, mix64_array,
 )
 from .digital import (
     DivergentSeries,
@@ -60,8 +60,6 @@ _BLOCK = 32768          # replicates per lockstep block: bounds the working set
 _CHUNK = 2 * _BLOCK     # replicates per task; more than one task uses processes
 _TAIL = 32              # live replicates below which the scalar loop is cheaper
 _MAX_CAPPED_FRACTION = 0.001
-
-_UNIT = 2.0**-53  # a draw's top 53 bits times this is uniform on [0, 1)
 
 
 class RootType(enum.Enum):

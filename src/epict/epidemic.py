@@ -31,11 +31,11 @@ allocates in proportion to its final size, never to ``n``.
 
 In a run in which tracing cannot act (``delta == 0``: nobody is diagnosed;
 or ``p == pi == 0``: no edge is traceable, so every component has one
-member) every removal takes just the individual drawn, whoever that is.
-Such a run keeps only counts (:func:`_run_untraced`): it makes the same
-draws in the same order through the same expressions, discarding the ones
-that only pick or flag individuals, so its outcome is the general loop's bit
-for bit.
+member) every removal takes just the individual drawn, whoever that is, so
+the run is a birth-death jump chain of the infectious count.  Such a run is
+drawn level by level from the chain's exact law (:func:`_run_untraced`) in a
+few numpy calls, on counter-based streams instead of ``random.Random``; its
+outcome has the general loop's law, not its draws.
 
 Traced-but-susceptible individuals do not exist here (only transmission
 edges are recorded), and contacts that did not transmit are not traceable.
@@ -47,7 +47,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from ._util import chunk_ranges, map_ordered, mix64, wilson_interval
+import numpy as np
+
+from ._util import chunk_ranges, map_ordered, mix64, stream_uniforms, wilson_interval
 from .params import InvalidParams, Params
 
 INFECTIOUS = 0
@@ -55,6 +57,9 @@ RECOVERED = 1
 DIAGNOSED = 2
 
 _RUN_TAG = 0xE51D
+_LEVEL_TAG = 0x1E7E1   # the untraced sampler's level stream
+_HOLD_TAG = 0x401D     # and its holding-time stream
+_FIRST_BLOCK = 64      # levels in the untraced sampler's first block; each next is 4x
 
 
 class EpidemicRecords:
@@ -137,10 +142,9 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
     """
     if params.n < 2:
         raise InvalidParams("epidemic simulation needs n >= 2")
-    rng = random.Random(seed)
-    uniform = rng.random
     if params.delta == 0.0 or (params.p == 0.0 and params.pi == 0.0):
-        return _run_untraced(params, uniform)
+        return _run_untraced(params, seed)
+    uniform = random.Random(seed).random
     log = math.log
     n = params.n
     beta_over_n = params.beta / n
@@ -221,47 +225,70 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
     )
 
 
-def _run_untraced(params: Params, uniform) -> EpidemicOutcome:
+def _run_untraced(params: Params, seed: int) -> EpidemicOutcome:
     """:func:`run_epidemic` for a run in which tracing cannot act.
 
-    Only counts are kept; the draws, their order and the float expressions
-    are the general loop's, so the outcome is the same bit for bit.
+    Every removal takes one individual, so the run is the birth-death jump
+    chain of the infectious count I.  At level k (k infected so far) an
+    event is an infection with probability p_k = b_k / (b_k + gamma + delta),
+    b_k = beta (n - k) / n, whatever I is, so the removals D_k drawn at level
+    k before the next infection are Geometric(p_k), independent across
+    levels; D_n is infinite (nobody is left to infect).  The level-k start
+    count is I_k = k - sum_{j<k} D_j, the final size F is the first k with
+    sum_{j<=k} D_j >= k, and the peak is the largest I_k up to F.  Each of
+    the 2F - 1 events then draws its exponential holding time at its own
+    rate (b_k + gamma + delta) I.  (Andersson & Britton, *Stochastic Epidemic
+    Models and Their Statistical Analysis*, 2000, for the jump chain.)
+
+    Levels are drawn in blocks of growing size, so that a run allocates in
+    proportion to its final size, never to ``n``.  The level draws and the
+    holding-time draws are two counter streams keyed by ``seed``.
     """
-    log = math.log
     n = params.n
     beta_over_n = params.beta / n
-    gamma, delta = params.gamma, params.delta
-
-    uniform()        # the index case's app flag
-    next_id = 1
-    infectious_count = 1
-    peak = 1
-    now = 0.0
-
-    while infectious_count:
-        rate_inf = beta_over_n * infectious_count * (n - next_id)
-        rate_rec = gamma * infectious_count
-        rate_dia = delta * infectious_count
-        total = rate_inf + rate_rec + rate_dia
-        now += -log(1.0 - uniform()) / total  # random.expovariate(total)
-        if uniform() * total < rate_inf:
-            uniform()    # the source,
-            uniform()    # the infectee's app flag
-            uniform()    # and the edge's manual flag
-            infectious_count += 1
-            next_id += 1
-            if infectious_count > peak:
-                peak = infectious_count
-        else:
-            uniform()    # the individual removed
-            infectious_count -= 1
-
-    # one event per infection and one per removal, and everyone is removed
+    out_rate = params.gamma + params.delta
+    level_key = mix64(seed, _LEVEL_TAG)
+    blocks = []         # per block of levels: D_k and sum_{j<=k} D_j
+    removed = 0         # removals at the levels of the earlier blocks
+    first = 1           # the level of the block's first entry
+    size = _FIRST_BLOCK
+    while True:
+        k = np.arange(first, min(first + size, n + 1))
+        infect = beta_over_n * (n - k)
+        log_stay = np.log1p(-infect / (infect + out_rate))  # log(1 - p_k)
+        # inversion, D_k = floor(log U / log(1 - p_k)); where p_k = 0 the
+        # ratio is +inf or nan, and any D_k >= n ends the run
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.log(stream_uniforms(level_key, first, k.size)) / log_stay
+        d = np.fmin(d, n).astype(np.int64)
+        ends = np.cumsum(d)
+        ends += removed
+        stop = np.argmax(ends >= k)
+        if ends[stop] >= k[stop]:
+            blocks.append((d[:stop + 1], ends[:stop + 1]))
+            break
+        blocks.append((d, ends))
+        removed = int(ends[-1])
+        first += k.size
+        size *= 4
+    d, ends = (b[0] if len(blocks) == 1 else np.concatenate(b) for b in zip(*blocks))
+    final = d.size
+    levels = np.arange(1, final + 1)
+    start = levels - ends + d                   # I_k
+    per_level = d + 1                           # D_k removals, then an infection
+    per_level[-1] = start[-1]                   # the last level: I_F removals
+    # level k's events start at event 2k - 1 - I_k (0-based), so the e-th
+    # event sees I = 2k - 1 - e
+    count = np.repeat(np.arange(1, 2 * final, 2), per_level)
+    count -= np.arange(count.size)
+    total = np.repeat(beta_over_n * (n - levels) + out_rate, per_level)
+    total *= count
+    log_u = np.log(stream_uniforms(mix64(seed, _HOLD_TAG), 1, count.size))
     return EpidemicOutcome(
-        final_size=next_id,
-        peak_infectious=peak,
-        event_count=2 * next_id - 1,
-        duration=now,
+        final_size=final,
+        peak_infectious=int(start.max()),
+        event_count=log_u.size,
+        duration=-float(np.sum(log_u / total)),
     )
 
 

@@ -4,12 +4,18 @@
 Catalan-weighted sum; ``digital.expected_jumps`` must equal one plus its sum.
 
 ``run_epidemic_tree`` is the outbreak simulator on an explicit transmission
-tree.  It draws exactly what ``epict.run_epidemic`` draws, in the same
-order, but records every infection in :class:`EpidemicRecords` and
-applies each diagnosis through the recursive :func:`trace_closure`.  The
-production simulator's component labels must reproduce its outcomes bit for
-bit.  ``debug_checks`` re-verifies population conservation and the tracing
-fixed point after every diagnosis.
+tree.  It draws exactly what ``epict.run_epidemic``'s event loop draws, in
+the same order, but records every infection in :class:`EpidemicRecords` and
+applies each diagnosis through the recursive :func:`trace_closure`.  Where
+tracing can act (``delta > 0`` and ``p`` or ``pi`` positive), the production
+simulator's component labels must reproduce its outcomes bit for bit.  Where
+it cannot, ``run_epidemic`` draws the jump chain on streams of its own, so
+the two agree in law only.  ``debug_checks`` re-verifies population
+conservation and the tracing fixed point after every diagnosis.
+
+``untraced_law`` is the exact law of a run without tracing at small ``n``:
+a forward recursion over the jump chain on (I, k), independent of the
+sampler's geometric levels.
 """
 
 import math
@@ -47,6 +53,43 @@ def tail_prob_jumps(k: int, params: Params) -> float:
         )
     alive = max(0.0, 1.0 - absorbed)
     return alive * survive**k
+
+
+def untraced_law(params: Params) -> tuple[list[float], float]:
+    """Exact law of a run in which tracing cannot act, at small ``n``.
+
+    Without tracing every removal takes one individual, so a run is the jump
+    chain on (I, k): I infectious, k ever infected.  From (I, k) it moves to
+    (I + 1, k + 1) with probability b / (b + gamma + delta), b = beta (n - k)
+    / n, and to (I - 1, k) otherwise, until I = 0.  Both moves leave (I, k)
+    for good, so the probability of visiting a state is also its expected
+    number of visits.  This forward recursion sweeps k upwards and I
+    downwards within each k, so that both states feeding (I, k) are final
+    before it is read.
+
+    Returns ``(final, duration)``: ``final[k]`` is P(final size = k) for k
+    in 0..n (``final[0]`` is 0), and ``duration`` is the expected time to
+    extinction, the sum over states of P(visit) / total rate.
+    """
+    n = params.n
+    out = params.gamma + params.delta
+    final = [0.0] * (n + 1)
+    duration = 0.0
+    # visit probabilities at k - 1, indexed by I, and the infection
+    # probability there; the index case enters (1, 1) from a virtual (0, 0)
+    below = [1.0] + [0.0] * (n + 1)
+    infect_below = 1.0
+    for k in range(1, n + 1):
+        infect = params.beta * (n - k) / n
+        total = infect + out
+        here = [0.0] * (n + 2)
+        for i in range(k, 0, -1):
+            visit = below[i - 1] * infect_below + here[i + 1] * out / total
+            here[i] = visit
+            duration += visit / (total * i)
+        final[k] = here[1] * out / total
+        below, infect_below = here, infect / total
+    return final, duration
 
 
 def run_epidemic_tree(params: Params, seed: int, debug_checks: bool = False):

@@ -311,6 +311,22 @@ def test_non_finite_rate_rejected(capsys, tmp_path, argv):
     assert "major fraction" not in text
 
 
+def test_missing_config_file_is_an_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, text, err = run_cli(capsys, "analytic", "--config", str(missing))
+    assert code == 1
+    assert f"error: [Errno 2] No such file or directory: '{missing}'" in err
+    assert text == ""
+
+
+def test_unwritable_out_is_an_error(capsys, tmp_path):
+    out = tmp_path / "nodir" / "x.json"
+    code, _, err = run_cli(capsys, "analytic", "--out", str(out))
+    assert code == 1
+    assert f"error: [Errno 2] No such file or directory: '{out}'" in err
+    assert not out.exists()
+
+
 def test_infinite_population_rejected(capsys, tmp_path):
     # json reads Infinity; it must end in an error line, not a traceback
     cfg = tmp_path / "cfg.json"

@@ -34,7 +34,7 @@ def run_demo(name):
       "predicts supercritical"]),
     # every outbreak outcome, end to end through a two-worker ensemble
     ("03_outbreak_simulation.py",
-     ["no tracing           0.640  [0.619, 0.661]        0.925",
+     ["no tracing           0.638  [0.617, 0.659]        0.924",
       "app tracing only     0.470  [0.448, 0.492]        0.815",
       "manual only          0.291  [0.272, 0.311]        0.506",
       "both                 0.015  [0.011, 0.021]        0.141"]),

@@ -5,8 +5,10 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.stats import chi2
 
 from epict import (
     DIAGNOSED,
@@ -25,7 +27,7 @@ from epict import (
 from epict.epidemic import run_seed
 
 from conftest import WORKERS
-from oracles import assert_closure_fixed_point, run_epidemic_tree
+from oracles import assert_closure_fixed_point, run_epidemic_tree, untraced_law
 
 
 def small(n=400, **kw) -> Params:
@@ -184,26 +186,45 @@ PINNED_OUTCOMES = {
         13: (84, 22, 114, 18.021397369054835, 77),
     },
 }
+UNTRACEABLE_ROW = (0.0, 0.0)
+
+# seed -> run_epidemic's (final size, peak, events, duration) on the row
+# without tracing, which the jump-chain sampler draws on its own streams
+PINNED_UNTRACED = {
+    11: (1, 1, 1, 1.7991221018057306),
+    12: (2, 2, 3, 1.5119696608526165),
+    13: (1, 1, 1, 0.9570846934112711),
+    1: (4612, 1412, 9223, 51.999658190603625),
+}
 
 
-def assert_pinned(row):
-    params = Params(beta=0.8, gamma=1 / 7, delta=1 / 7, pi=row[1], p=row[0], n=5000)
+def pinned_params(row) -> Params:
+    return Params(beta=0.8, gamma=1 / 7, delta=1 / 7, pi=row[1], p=row[0], n=5000)
+
+
+def assert_tree_pinned(row):
+    params = pinned_params(row)
     for seed, want in PINNED_OUTCOMES[row].items():
         o, rec = run_epidemic_tree(params, seed)
         got = (o.final_size, o.peak_infectious, o.event_count, o.duration,
                rec.state.count(DIAGNOSED))
         assert got == want
-        assert dataclasses.astuple(run_epidemic(params, seed)) == want[:4]
 
 
-@pytest.mark.parametrize("row", sorted(PINNED_OUTCOMES)[:2])
+@pytest.mark.parametrize("row", [UNTRACEABLE_ROW])
 def test_untraceable_rows_pinned(row):
-    assert_pinned(row)
+    assert_tree_pinned(row)
+    params = pinned_params(row)
+    for seed, want in PINNED_UNTRACED.items():
+        assert dataclasses.astuple(run_epidemic(params, seed)) == want
 
 
-@pytest.mark.parametrize("row", sorted(PINNED_OUTCOMES)[2:])
+@pytest.mark.parametrize("row", [r for r in sorted(PINNED_OUTCOMES) if r != UNTRACEABLE_ROW])
 def test_tracing_rows_pinned(row):
-    assert_pinned(row)
+    assert_tree_pinned(row)
+    params = pinned_params(row)
+    for seed, want in PINNED_OUTCOMES[row].items():
+        assert dataclasses.astuple(run_epidemic(params, seed)) == want[:4]
 
 
 def test_index_case_app_flag_follows_pi():
@@ -216,7 +237,7 @@ def test_index_case_app_flag_follows_pi():
 # the four outbreak-table rows (p, pi), then certain tracing, no diagnosis
 # and no transmission, then the corners of the event loop: the smallest
 # population, saturation (S reaches 0) without and with tracing, every edge
-# manual, and every edge app-app; last, the corners of the count-only loop
+# manual, and every edge app-app; last, the corners of the untraced sampler
 # (no traceable edge): the smallest population and saturation with diagnosis
 AGREEMENT_ROWS = [
     dict(p=0.0, pi=0.0),
@@ -236,28 +257,118 @@ AGREEMENT_ROWS = [
 ]
 
 
+def traceable(params: Params) -> bool:
+    return params.delta > 0.0 and (params.p > 0.0 or params.pi > 0.0)
+
+
 @pytest.mark.parametrize("n, runs", [(300, 120), (5000, 40)])
 def test_component_labels_reproduce_tree_oracle(n, runs):
-    # 14 * (120 + 40) = 2240 runs in all, compared on every outcome field
+    # every row where tracing can act, compared on every outcome field
     for row in AGREEMENT_ROWS:
         params = small(**{"n": n, **row})
+        if not traceable(params):
+            continue
         want = [run_epidemic_tree(params, run_seed(31, i))[0] for i in range(runs)]
         assert ensemble_outcomes(params, runs, seed=31, workers=1) == want
         if params.beta == 50.0:
             assert max(o.final_size for o in want) == params.n
 
 
+def assert_same_law(a, b, n):
+    """Two ensembles agree on the major fraction, the mean major size and the
+    mean peak within four standard errors of their difference."""
+    sa, sb = summarize_ensemble(a, n), summarize_ensemble(b, n)
+    pooled = (sa.major_count + sb.major_count) / (sa.runs + sb.runs)
+    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / sa.runs + 1.0 / sb.runs))
+    assert abs(sa.major_fraction - sb.major_fraction) <= 4.0 * se
+    if sa.major_count > 1 and sb.major_count > 1:
+        se = math.hypot(sa.major_size_se, sb.major_size_se)
+        assert abs(sa.mean_major_size - sb.mean_major_size) <= 4.0 * se
+    pa, pb = (np.array([o.peak_infectious for o in x], float) for x in (a, b))
+    se = math.hypot(pa.std(ddof=1) / math.sqrt(pa.size), pb.std(ddof=1) / math.sqrt(pb.size))
+    assert abs(pa.mean() - pb.mean()) <= 4.0 * se
+
+
+@pytest.mark.parametrize("n, runs", [(300, 120), (5000, 40)])
+def test_untraced_sampler_agrees_with_tree_oracle_in_law(n, runs):
+    # where tracing cannot act the sampler draws its own streams, so the tree
+    # oracle is matched in law, against 20x as many sampler runs
+    for row in AGREEMENT_ROWS:
+        params = small(**{"n": n, **row})
+        if traceable(params):
+            continue
+        want = [run_epidemic_tree(params, run_seed(31, i))[0] for i in range(runs)]
+        got = ensemble_outcomes(params, 20 * runs, seed=31, workers=1)
+        assert all(o.event_count == 2 * o.final_size - 1 for o in got)
+        assert_same_law(want, got, n)
+        if params.beta == 50.0:
+            assert max(o.final_size for o in got) == params.n
+
+
+def chi_square_pvalue(observed, expected):
+    """Pearson's test; the cells expected below 5 are pooled into one."""
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    rare = expected < 5.0
+    obs = np.append(observed[~rare], observed[rare].sum())
+    exp = np.append(expected[~rare], expected[rare].sum())
+    if exp[-1] == 0.0:  # no rare cell
+        obs, exp = obs[:-1], exp[:-1]
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    return chi2.sf(stat, obs.size - 1)
+
+
+@pytest.mark.parametrize("row", [dict(p=0.0, pi=0.0, n=30), dict(delta=0.0, n=12)])
+def test_untraced_sampler_exact_law(row):
+    # the final-size distribution and the mean duration against the forward
+    # recursion over the jump chain
+    params = small(**row)
+    final, mean_duration = untraced_law(params)
+    runs = 20000
+    out = ensemble_outcomes(params, runs, seed=43, workers=1)
+    sizes = np.bincount([o.final_size for o in out], minlength=params.n + 1)
+    assert chi_square_pvalue(sizes[1:], runs * np.array(final[1:])) > 1e-3
+    durations = np.array([o.duration for o in out])
+    se = durations.std(ddof=1) / math.sqrt(runs)
+    assert abs(durations.mean() - mean_duration) <= 4.0 * se
+    assert all(o.event_count == 2 * o.final_size - 1 for o in out)
+
+
+def test_untraced_law_oracle():
+    # the recursion's own checks: total mass, the first step's closed form,
+    # n = 2 by hand, and the tree simulator's final sizes
+    params = small(p=0.0, pi=0.0, n=12)
+    final, _ = untraced_law(params)
+    out_rate = params.gamma + params.delta
+    assert sum(final) == pytest.approx(1.0, abs=1e-12)
+    assert final[1] == pytest.approx(out_rate / (params.beta * 11 / 12 + out_rate), rel=1e-12)
+    two = small(p=0.0, pi=0.0, n=2)
+    final2, duration2 = untraced_law(two)
+    infect = (two.beta / 2) / (two.beta / 2 + out_rate)
+    assert final2 == pytest.approx([0.0, 1.0 - infect, infect], abs=1e-15)
+    hand = 1.0 / (two.beta / 2 + out_rate) + infect * (1.0 / (2 * out_rate) + 1.0 / out_rate)
+    assert duration2 == pytest.approx(hand, rel=1e-12)
+    runs = 3000
+    sizes = np.bincount(
+        [run_epidemic_tree(params, run_seed(47, i))[0].final_size for i in range(runs)],
+        minlength=params.n + 1,
+    )
+    assert chi_square_pvalue(sizes[1:], runs * np.array(final[1:])) > 1e-3
+
+
 def test_allocation_per_run_is_o_final_size():
     # a per-individual table would take megabytes at this n; the run
-    # allocates only for the people it infects
-    tracemalloc.start()
-    try:
-        out = run_epidemic(small(n=10**6, beta=0.0), seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.final_size == 1
-    assert peak < 64 * 1024
+    # allocates only for the people it infects.  The rows: the event loop,
+    # then the untraced sampler with no transmission and in a minor outbreak
+    for row, seed in ((dict(beta=0.0), 1), (dict(beta=0.0, p=0.0, pi=0.0), 1),
+                      (dict(p=0.0, pi=0.0), 6)):
+        tracemalloc.start()
+        try:
+            out = run_epidemic(small(n=10**6, **row), seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.final_size <= 2
+        assert peak < 64 * 1024
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +376,7 @@ def test_allocation_per_run_is_o_final_size():
 
 
 def test_ensemble_determinism_across_workers():
-    # a tracing row, then an untraceable one (the count-only loop)
+    # a tracing row, then an untraceable one (the jump-chain sampler)
     for row in (dict(), dict(p=0.0, pi=0.0)):
         p = small(n=300, **row)
         one = ensemble_outcomes(p, 60, seed=9, workers=1)
