@@ -188,22 +188,31 @@ PINNED_OUTCOMES = {
 }
 UNTRACEABLE_ROW = (0.0, 0.0)
 
-# seed -> run_epidemic's (final size, peak, events, duration) on the row
-# without tracing, which the jump-chain sampler draws on its own streams
+# (p, pi, delta) -> seed -> run_epidemic's (final size, peak, events,
+# duration) on rows tracing cannot touch, no tracing and no diagnosis, which
+# the jump-chain sampler draws on its own streams
 PINNED_UNTRACED = {
-    11: (1, 1, 1, 1.7991221018057306),
-    12: (2, 2, 3, 1.5119696608526165),
-    13: (1, 1, 1, 0.9570846934112711),
-    1: (4612, 1412, 9223, 51.999658190603625),
+    (0.0, 0.0, 1 / 7): {
+        11: (1, 1, 1, 1.7991221018057306),
+        12: (2, 2, 3, 1.5119696608526165),
+        13: (1, 1, 1, 0.9570846934112711),
+        1: (4612, 1412, 9223, 51.999658190603625),
+    },
+    (2 / 3, 2 / 3, 0.0): {
+        11: (1, 1, 1, 2.0717626259258433),
+        12: (4982, 2586, 9963, 78.03157477340467),
+        13: (4978, 2571, 9955, 88.85447392815166),
+    },
 }
 
 
-def pinned_params(row) -> Params:
-    return Params(beta=0.8, gamma=1 / 7, delta=1 / 7, pi=row[1], p=row[0], n=5000)
+def pinned_params(p, pi, delta=1 / 7) -> Params:
+    return Params(beta=0.8, gamma=1 / 7, delta=delta, pi=pi, p=p, n=5000)
 
 
-def assert_tree_pinned(row):
-    params = pinned_params(row)
+@pytest.mark.parametrize("row", sorted(PINNED_OUTCOMES))
+def test_tree_oracle_rows_pinned(row):
+    params = pinned_params(*row)
     for seed, want in PINNED_OUTCOMES[row].items():
         o, rec = run_epidemic_tree(params, seed)
         got = (o.final_size, o.peak_infectious, o.event_count, o.duration,
@@ -211,18 +220,16 @@ def assert_tree_pinned(row):
         assert got == want
 
 
-@pytest.mark.parametrize("row", [UNTRACEABLE_ROW])
+@pytest.mark.parametrize("row", sorted(PINNED_UNTRACED))
 def test_untraceable_rows_pinned(row):
-    assert_tree_pinned(row)
-    params = pinned_params(row)
-    for seed, want in PINNED_UNTRACED.items():
+    params = pinned_params(*row)
+    for seed, want in PINNED_UNTRACED[row].items():
         assert dataclasses.astuple(run_epidemic(params, seed)) == want
 
 
 @pytest.mark.parametrize("row", [r for r in sorted(PINNED_OUTCOMES) if r != UNTRACEABLE_ROW])
 def test_tracing_rows_pinned(row):
-    assert_tree_pinned(row)
-    params = pinned_params(row)
+    params = pinned_params(*row)
     for seed, want in PINNED_OUTCOMES[row].items():
         assert dataclasses.astuple(run_epidemic(params, seed)) == want[:4]
 
