@@ -10,8 +10,10 @@ is where the relevant reproduction number crosses 1.  Two comparisons:
 * the combined model against the independence guess.
 
 Digital and manual curve points are closed form (R_D and R_M); the combined
-point is Monte Carlo (CI-aware bisection), so this demo keeps it to one
-point; see the `epict sweep` subcommand for the full datasets.
+point is Monte Carlo (the bisection takes a side only when an estimate is 3
+standard errors clear of 1, and reports the 95% interval of the estimate at
+its root), so this demo keeps it to one point; see the `epict sweep`
+subcommand for the full datasets.
 """
 
 import math
@@ -53,4 +55,4 @@ point = find_critical(
 )
 print(f"\ncombined model at pi=0.5, testing fraction 0.5: "
       f"R_DM crosses 1 at p = {point.critical_value:.3f} "
-      f"(CI at stop [{point.ci_low:.3f}, {point.ci_high:.3f}])")
+      f"(95% CI [{point.ci_low:.3f}, {point.ci_high:.3f}])")

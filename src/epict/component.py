@@ -376,8 +376,6 @@ def r_component_combined(
     replicates: int,
     seed: int,
     workers: int = 1,
-    cap: int = EVENT_CAP,
-    z: float = 1.96,
 ) -> SpectralRadiusEstimate:
     """Combined-model reproduction number with a 95% confidence interval.
 
@@ -385,14 +383,14 @@ def r_component_combined(
     matrix; the CI propagates element standard errors through the
     eigenvalue gradient (delta method).
     """
-    est = estimate_offspring_matrix(params, replicates, seed, workers=workers, cap=cap)
+    est = estimate_offspring_matrix(params, replicates, seed, workers=workers)
     value = spectral_radius_2x2(est.mean)
     se = _delta_method_se(est)
     return SpectralRadiusEstimate(
         value=value,
         se=se,
-        ci_low=value - z * se,
-        ci_high=value + z * se,
+        ci_low=value - 1.96 * se,
+        ci_high=value + 1.96 * se,
         matrix=est,
     )
 
@@ -414,7 +412,6 @@ def naive_combined_r(
     replicates: int,
     seed: int,
     workers: int = 1,
-    z: float = 1.96,
 ) -> NaiveProductEstimate:
     """Reproduction number if the two tracing modes acted independently.
 
@@ -434,7 +431,6 @@ def naive_combined_r(
         replicates=replicates,
         seed=seed,
         workers=workers,
-        z=z,
     )
     if params.pi == 0.0:
         return NaiveProductEstimate(
@@ -443,4 +439,4 @@ def naive_combined_r(
     scale = r_d / base
     value = manual.value * scale
     se = manual.se * scale
-    return NaiveProductEstimate(value, se, value - z * se, value + z * se, r_d, manual)
+    return NaiveProductEstimate(value, se, value - 1.96 * se, value + 1.96 * se, r_d, manual)

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import Params, r0
 
 
@@ -61,9 +59,6 @@ class OffspringMatrix:
             v = getattr(self, name)
             if not (v >= 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=float)
 
 
 def _walk_steps(params: Params) -> tuple[float, float, float]:

@@ -302,7 +302,7 @@ class EnsembleSummary:
     major_fraction: float
     major_fraction_ci: tuple[float, float]  # 95% Wilson interval
     mean_major_size: float  # mean final_size/n among major outbreaks (nan if none)
-    major_size_se: float
+    major_size_se: float  # its standard error (nan below two major outbreaks)
 
 
 def run_seed(seed: int, run_index: int) -> int:
@@ -339,16 +339,11 @@ def summarize_ensemble(outcomes: list[EpidemicOutcome], n: int) -> EnsembleSumma
     cutoff = MAJOR_THRESHOLD * n
     sizes = [o.final_size / n for o in outcomes if o.final_size > cutoff]
     major = len(sizes)
-    if major:
-        mean_size = sum(sizes) / major
-        if major > 1:
-            var = sum((s - mean_size) ** 2 for s in sizes) / (major - 1)
-            size_se = math.sqrt(var / major)
-        else:
-            size_se = 0.0
-    else:
-        mean_size = float("nan")
-        size_se = float("nan")
+    mean_size = sum(sizes) / major if major else math.nan
+    size_se = math.nan  # one major outbreak has no spread to measure
+    if major > 1:
+        var = sum((s - mean_size) ** 2 for s in sizes) / (major - 1)
+        size_se = math.sqrt(var / major)
     return EnsembleSummary(
         runs=runs,
         major_count=major,

@@ -1,14 +1,16 @@
 """Parameter sweeps: critical curves, heatmap grids, and figure datasets.
 
 A sweep evaluates one of five reproduction-number targets over parameter
-axes.  Every evaluation is an interval: a closed-form value (the digital
-and manual-only numbers) is its own zero-width interval, a Monte Carlo
-estimate (the combined model and the independence product) carries its
-confidence interval.  One bisection serves both.  It takes a side only when
-the interval clears 1 by more than the residual tolerance, so a closed-form
-target is solved to that tolerance, while a Monte Carlo target escalates the
-replicate count where the interval straddles 1 and stops once the bracket is
-narrower than the coordinate tolerance.
+axes.  Every evaluation is a value with a standard error: 0 for the
+closed-form digital and manual-only numbers, its own for the Monte Carlo
+combined model and independence product.  One bisection serves both.  It
+takes a side only when value +- ``DECISION_Z`` (3) standard errors clears 1
+by more than the residual tolerance, so a closed-form target is solved to
+that tolerance, while a Monte Carlo target escalates the replicate count
+where that interval straddles 1 and stops once the bracket is narrower than
+the coordinate tolerance.  A solve evaluates each coordinate once.  Every
+reported interval, in a curve, heatmap or profile row, is the 95% interval
+value +- ``REPORT_Z`` (1.96) standard errors of the evaluation behind it.
 
 Monte Carlo settings (base replicates, seed, workers) come from the caller,
 not from the sweep spec.  Every Monte Carlo evaluation is seeded from the
@@ -41,8 +43,8 @@ class Target(enum.Enum):
 
 MC_TARGETS = (Target.R_DM, Target.NAIVE_PRODUCT)
 MAX_ESCALATIONS = 2  # replicate count grows 4x per escalation
-DECISION_Z = 3.0     # CI width used to pick a bisection side
-REPORT_Z = 1.96      # CI width of every reported Monte Carlo value
+DECISION_Z = 3.0     # half-width, in standard errors, of the interval that picks a side
+REPORT_Z = 1.96      # half-width, in standard errors, of every reported interval (95%)
 DEFAULT_REPLICATES = 20_000
 
 
@@ -155,9 +157,13 @@ def spec_from_json(text: str) -> SweepSpec:
 @dataclass(frozen=True)
 class TargetEval:
     value: float
-    ci_low: float
-    ci_high: float
+    se: float = 0.0  # 0 for a closed-form value
     status: str = "ok"
+
+    def interval(self, z: float) -> tuple[float, float]:
+        if not self.se:  # zero width: rows keep the value's own float object
+            return self.value, self.value
+        return self.value - z * self.se, self.value + z * self.se
 
 
 def evaluate_target(
@@ -167,13 +173,12 @@ def evaluate_target(
     mc: MCSettings | None = None,
     eval_seed: int = 0,
     replicates: int | None = None,
-    z: float = REPORT_Z,
 ) -> TargetEval:
     """One target evaluation; divergent means map to +inf (supercritical).
 
     A divergent expected cluster size means the cluster itself can grow
     without bound, so for threshold purposes the target is above 1.  A
-    closed-form value is its own zero-width interval.
+    closed-form value has standard error 0.
     """
     try:
         if target in MC_TARGETS:
@@ -181,18 +186,17 @@ def evaluate_target(
                 raise ValueError(f"target {target.value} needs mc settings")
             reps = replicates if replicates is not None else mc.replicates
             estimate = r_component_combined if target is Target.R_DM else naive_combined_r
-            est = estimate(params, reps, seed=eval_seed, workers=mc.workers, z=z)
-            return TargetEval(est.value, est.ci_low, est.ci_high)
+            est = estimate(params, reps, seed=eval_seed, workers=mc.workers)
+            return TargetEval(est.value, est.se)
         if target is Target.R_D:
             value = r_component_digital(params)
         elif target is Target.R_IND_D:
             value = r_individual_digital(params)
         else:
             value = r_manual(params)
-        return TargetEval(value, value, value)
+        return TargetEval(value)
     except DivergentSeries:
-        inf = float("inf")
-        return TargetEval(inf, inf, inf, status="divergent")
+        return TargetEval(math.inf, status="divergent")
 
 
 @dataclass(frozen=True)
@@ -211,11 +215,12 @@ def _point_seed(mc_seed: int, abscissa: float | None, coordinate: float, level: 
 
 
 def _side(ev: TargetEval, tol: float) -> int:
-    # +1 above 1, -1 below, 0 when the interval comes within tol of 1; the
-    # subtractions keep closed-form decisions those of |value - 1| <= tol
-    if ev.ci_low - 1.0 > tol:
+    # +1 above 1, -1 below, 0 when the decision interval comes within tol of
+    # 1; with se = 0 these are the closed-form decisions of |value - 1| <= tol
+    low, high = ev.interval(DECISION_Z)
+    if low - 1.0 > tol:
         return 1
-    if 1.0 - ev.ci_high > tol:
+    if 1.0 - high > tol:
         return -1
     return 0
 
@@ -232,19 +237,22 @@ def find_critical(
 ) -> CurvePoint:
     """Solve target(x) = 1 in one coordinate over a bracket by bisection.
 
-    A side is taken only when the interval at a point clears 1 by more than
-    ``tol``; otherwise the point is the root, returned with its interval.
-    A closed-form target therefore stops once |target - 1| <= ``tol``, and
+    A side is taken only when value +- ``DECISION_Z`` standard errors at a
+    point clears 1 by more than ``tol``; otherwise the point is the root.  A
+    closed-form target therefore stops once |target - 1| <= ``tol``, and
     raises :class:`NoRootInBracket` if the bracket collapses first.  A Monte
-    Carlo target uses ``tol = 0`` on its CI at ``DECISION_Z`` (the replicate
-    count escalates 4x, up to ``MAX_ESCALATIONS`` times, while the interval
-    straddles 1) and stops at bracket width ``coord_tol``, returning the
-    midpoint with its ``REPORT_Z`` interval attached.
+    Carlo target uses ``tol = 0`` (the replicate count escalates 4x, up to
+    ``MAX_ESCALATIONS`` times, while the interval straddles 1) and stops at
+    a point whose interval straddles 1 at the last level, or at bracket
+    width ``coord_tol``, where it returns the midpoint.
+
+    Each coordinate is evaluated once, the final midpoint with the same
+    escalation as every other point.  The returned point reports that
+    evaluation's 95% interval, value +- ``REPORT_Z`` standard errors.
 
     Solving in ``pi`` runs a monotonicity pre-scan first, because component
     reproduction numbers need not be monotone in the app fraction.  The scan
-    ends exactly at ``hi``, and a repeated (coordinate, z) reuses the first
-    evaluation, which a Monte Carlo repeat, seeded by the same bits, equals.
+    ends exactly at ``hi``, and the bisection reuses its evaluations.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -255,7 +263,7 @@ def find_critical(
             raise ValueError(f"target {target.value} needs mc settings")
         tol = 0.0  # the interval itself carries the uncertainty
 
-    def evaluate_once(x, z):
+    def evaluate_once(x):
         params = with_param(fixed, solve_coordinate, x)
         if not sampled:
             return evaluate_target(target, params)
@@ -264,7 +272,7 @@ def find_critical(
             ev = evaluate_target(
                 target, params, mc=mc,
                 eval_seed=_point_seed(mc.seed, abscissa, x, level),
-                replicates=reps, z=z,
+                replicates=reps,
             )
             if _side(ev, tol):
                 break
@@ -273,22 +281,23 @@ def find_critical(
 
     made = {}
 
-    def evaluate(x, z=DECISION_Z):
-        key = (float_key(x), z)
+    def evaluate(x):
+        key = float_key(x)
         if key not in made:
-            made[key] = evaluate_once(x, z)
+            made[key] = evaluate_once(x)
         return made[key]
 
     def root(x, ev):
-        return CurvePoint(abscissa, x, abs(ev.value - 1.0), ev.ci_low, ev.ci_high)
+        return CurvePoint(abscissa, x, abs(ev.value - 1.0), *ev.interval(REPORT_Z))
 
     if solve_coordinate == "pi":
         # nine-point scan over all ordered pairs; only reversals separated
         # by more than tol count (divergent points sit above every finite one)
         vals = [evaluate(lo + (hi - lo) * i / 8) for i in range(8)] + [evaluate(hi)]
-        pairs = [(a, b) for i, a in enumerate(vals) for b in vals[i + 1:]]
-        rising = any(b.ci_low - a.ci_high > tol for a, b in pairs)
-        falling = any(a.ci_low - b.ci_high > tol for a, b in pairs)
+        bounds = [ev.interval(DECISION_Z) for ev in vals]
+        pairs = [(a, b) for i, a in enumerate(bounds) for b in bounds[i + 1:]]
+        rising = any(b[0] - a[1] > tol for a, b in pairs)
+        falling = any(a[0] - b[1] > tol for a, b in pairs)
         if rising and falling:
             raise NonMonotoneTarget(
                 "target is not monotone in the solve coordinate over the bracket; "
@@ -323,7 +332,7 @@ def find_critical(
             "tolerance (grid scan recommended)"
         )
     m = 0.5 * (a + b)
-    return root(m, evaluate(m, REPORT_Z))
+    return root(m, evaluate(m))
 
 
 def critical_curve(spec: SweepSpec, mc: MCSettings | None = None) -> list[CurvePoint]:
@@ -435,9 +444,8 @@ def heatmap_rows(grid: HeatmapGrid) -> list[list]:
     rows = []
     for x1, row in zip(grid.axis1.values(), grid.cells):
         for x2, ev in zip(grid.axis2.values(), row):
-            rows.append(
-                [x1, x2, _num(ev.value), _num(ev.ci_low), _num(ev.ci_high), ev.status]
-            )
+            low, high = ev.interval(REPORT_Z)
+            rows.append([x1, x2, _num(ev.value), _num(low), _num(high), ev.status])
     return rows
 
 
@@ -448,8 +456,10 @@ def spec_dataset(spec: SweepSpec, mc: MCSettings) -> SweepDataset:
         return SweepDataset("curve", CURVE_HEADER, curve_rows(critical_curve(spec, mc)))
     if spec.second_axis is not None:
         return SweepDataset("heatmap", HEATMAP_HEADER, heatmap_rows(heatmap_grid(spec, mc)))
-    rows = [[x, _num(ev.value), _num(ev.ci_low), _num(ev.ci_high), ev.status]
-            for x, ev in profile(spec, mc)]
+    rows = []
+    for x, ev in profile(spec, mc):
+        low, high = ev.interval(REPORT_Z)
+        rows.append([x, _num(ev.value), _num(low), _num(high), ev.status])
     return SweepDataset("profile", PROFILE_HEADER, rows)
 
 
@@ -472,7 +482,7 @@ def builtin_names() -> list[str]:
 def builtin_datasets(
     name: str,
     seed: int,
-    replicates: int | None = None,
+    replicates: int = DEFAULT_REPLICATES,
     workers: int = 1,
     curve_points: int = 9,
     grid_points: int = 11,
@@ -490,7 +500,7 @@ def builtin_datasets(
     fig3a, fig3b and fig4 are closed form; only fig5a and fig5b read the
     seed, the replicate count and the workers.
     """
-    mc = MCSettings(DEFAULT_REPLICATES if replicates is None else replicates, seed, workers)
+    mc = MCSettings(replicates, seed, workers)
     if name == "fig3a":
         return _fig3_datasets(curve_points, squared=False)
     if name == "fig3b":

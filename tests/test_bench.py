@@ -2,9 +2,12 @@
 and read the arguments it expects."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import epict
+
+from conftest import WORKERS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -54,3 +57,31 @@ def test_traced_outbreak_table_round():
     assert metrics["epidemic.runs"] == 40
     assert metrics["epidemic.us_per_event.plain_sir"] > 0
     assert metrics["epidemic.us_per_event.contact_tracing"] > 0
+
+
+def load_checks(monkeypatch):
+    # bench/checks.py imports the bench's oracles and workloads by plain
+    # name, and tests/ has an oracles module of its own
+    for name in ("oracles", "workloads"):
+        monkeypatch.setitem(sys.modules, name, load(name))
+    return load("checks"), sys.modules["workloads"]
+
+
+def test_critical_curves_pass_the_benchmark_checks(monkeypatch):
+    # the benchmark's run ends incorrect if any of these fails
+    checks, workloads = load_checks(monkeypatch)
+    workload = workloads.CriticalCurves(epict)
+    oracle, failures = checks.curves_oracle()
+    assert failures == []
+    for seed in (1, 2, 3):
+        outputs = {name: op() for name, op in workload.operations(seed, 0, WORKERS)}
+        assert checks.check_curves(workload, outputs, oracle) == []
+
+
+def test_reference_numbers_pass_the_benchmark_checks(monkeypatch):
+    checks, workloads = load_checks(monkeypatch)
+    workload = workloads.ReferenceNumbers(epict)
+    oracle, failures = checks.reference_oracle()
+    assert failures == []
+    outputs = {name: op() for name, op in workload.operations(1, 0, WORKERS)}
+    assert checks.check_reference(workload, outputs, oracle) == []

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from epict.cli import main
+from epict import ensemble_outcomes, summarize_ensemble
+from epict.cli import DEFAULT_PARAMS, main
 
 
 def run_cli(capsys, *argv):
@@ -193,12 +194,12 @@ def test_sweep_spec_mc_block_rejected(capsys, tmp_path):
 @pytest.mark.parametrize("argv, want", [
     (["--replicates", "1000000"], 1_000_000),
     (["--replicates", "999999"], 999_999),
-    ([], None),
+    ([], 20_000),
 ])
 def test_sweep_spec_replicates_passed_through(capsys, tmp_path, monkeypatch, argv, want):
     seen = []
 
-    def stub(name, seed, replicates=None, workers=1):
+    def stub(name, seed, replicates, workers=1):
         seen.append(replicates)
         return []
 
@@ -270,6 +271,25 @@ def test_absent_major_size_is_null_and_inconclusive(capsys, tmp_path):
     assert summary["major_fraction"] == 0.0
     assert summary["mean_major_size"] is None and summary["major_size_se"] is None
     assert "mean major size = n/a" in text
+
+
+def test_single_major_outbreak_size_is_inconclusive_and_se_null(capsys, tmp_path, monkeypatch):
+    # seed 6 at the default parameters gives exactly one major outbreak in 60
+    # runs: its size has no standard error, so no interval to flag against
+    out = tmp_path / "runs.csv"
+    code, _, _ = run_cli(capsys, "epidemic", "--runs", "60", "--seed", "6",
+                         "--threads", "1", "--out", str(out))
+    assert code == 0
+    summary = _strict_json((tmp_path / "runs.summary.json").read_text())
+    assert summary["mean_major_size"] == 0.1032 and summary["major_size_se"] is None
+    one = summarize_ensemble(ensemble_outcomes(DEFAULT_PARAMS, 60, 6), DEFAULT_PARAMS.n)
+    monkeypatch.setattr("epict.cli.run_ensemble", lambda *args, **kwargs: one)
+    table = tmp_path / "t.json"
+    code, _, _ = run_cli(capsys, "table2", "--replicates", "2000", "--threads", "1",
+                         "--format", "json", "--out", str(table))
+    assert code == 0
+    rows = _strict_json(table.read_text())["rows"]
+    assert [row["size_flag"] for row in rows] == ["inconclusive"] * 4
 
 
 def test_config_precedence_flags_over_file(capsys, tmp_path):

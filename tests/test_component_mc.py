@@ -414,17 +414,9 @@ def test_naive_product_no_digital_reduction_is_manual(table2_params):
     p = dataclasses.replace(table2_params, pi=0.0)
     est = naive_combined_r(p, 60_000, seed=67, workers=WORKERS)
     assert est.r_manual is not None
-    assert est.value == est.r_manual.value
-
-
-def test_naive_product_no_digital_reduction_honours_z(table2_params):
-    p = dataclasses.replace(table2_params, pi=0.0)
-    narrow = naive_combined_r(p, 2_000, seed=1, z=1.96)
-    wide = naive_combined_r(p, 2_000, seed=1, z=3.0)
-    assert wide.value == narrow.value and wide.se == narrow.se > 0.0
-    assert wide.ci_low == pytest.approx(narrow.value - 3.0 * narrow.se, rel=1e-12)
-    assert wide.ci_high == pytest.approx(narrow.value + 3.0 * narrow.se, rel=1e-12)
-    assert wide.ci_low < narrow.ci_low < narrow.ci_high < wide.ci_high
+    assert est.value == est.r_manual.value and est.se == est.r_manual.se > 0.0
+    assert est.ci_low == pytest.approx(est.value - 1.96 * est.se, rel=1e-12)
+    assert est.ci_high == pytest.approx(est.value + 1.96 * est.se, rel=1e-12)
 
 
 def test_combined_beats_independence_product(table2_params):

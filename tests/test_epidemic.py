@@ -416,6 +416,14 @@ def test_summary_no_major_outbreaks():
     assert math.isnan(s.mean_major_size)
 
 
+def test_summary_one_major_outbreak_has_no_se():
+    # one sample has no spread: its standard error is absent, not 0
+    outcomes = ensemble_outcomes(Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 5000), 60, 6)
+    s = summarize_ensemble(outcomes, 5000)
+    assert s.major_count == 1 and s.mean_major_size == 0.1032
+    assert math.isnan(s.major_size_se)
+
+
 # --------------------------------------------------------------------------
 # branching-theory oracles (no tracing)
 

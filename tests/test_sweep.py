@@ -20,13 +20,18 @@ from epict import (
     evaluate_target,
     find_critical,
     heatmap_grid,
+    naive_combined_r,
     profile,
+    r_component_combined,
     r_component_digital,
     r_manual,
     spec_from_json,
     with_param,
 )
-from epict.sweep import builtin_datasets, cell_seed, curve_rows, heatmap_rows
+from epict.sweep import (
+    MAX_ESCALATIONS, _point_seed, builtin_datasets, cell_seed, curve_rows, heatmap_rows,
+    spec_dataset,
+)
 
 from conftest import WORKERS
 
@@ -188,6 +193,59 @@ def test_mc_points_reproducible_from_coordinates():
     b = evaluate_target(Target.R_DM, params, mc=mc,
                         eval_seed=_point_seed(123, None, 0.5, 0))
     assert a == b
+
+
+def ladder_estimate(params, mc, abscissa, x):
+    """The R_DM estimate at coordinate x that ends a bisection's escalation:
+    the first level whose value +- 3 se clears 1, else the last level."""
+    for level in range(MAX_ESCALATIONS + 1):
+        est = r_component_combined(params, mc.replicates * 4**level, workers=mc.workers,
+                                   seed=_point_seed(mc.seed, abscissa, x, level))
+        if abs(est.value - 1.0) > 3.0 * est.se:
+            break
+    return est
+
+
+def assert_95(low, high, est):
+    assert est.se > 0.0
+    assert (low, high) == (est.value - 1.96 * est.se, est.value + 1.96 * est.se)
+
+
+def test_reported_intervals_are_95_percent_of_the_estimate_there():
+    # the benchmark's fig5b call: both curve rows are early stops, whose
+    # interval straddles 1 at +- 3 se even at the last level
+    mc = MCSettings(replicates=50, seed=7, workers=WORKERS)
+    base = Params(6 / 7, 1 / 7, 1 / 28, 0.0, 0.0, 1)
+    heatmap, curve = builtin_datasets("fig5b", seed=mc.seed, replicates=mc.replicates,
+                                      workers=WORKERS, curve_points=2, grid_points=3)
+    for pi, p, residual, low, high, status in curve.rows:
+        params = with_param(with_param(base, "pi", pi), "p", p)
+        est = ladder_estimate(params, mc, pi, p)
+        assert status == "ok" and abs(est.value - 1.0) <= 3.0 * est.se
+        assert residual == abs(est.value - 1.0)
+        assert_95(low, high, est)
+    for p, pi, value, low, high, status in heatmap.rows:
+        params = with_param(with_param(base, "p", p), "pi", pi)
+        est = r_component_combined(params, mc.replicates, seed=cell_seed(mc.seed, p, pi))
+        assert value == est.value and status == "ok"
+        if est.se:  # p = 1 or pi = 1 is exactly 0, and pi = p = 0 exactly R_0
+            assert_95(low, high, est)
+    # a bisection that ends at the midpoint of its last bracket, [0.675, 0.7875]
+    mc = MCSettings(replicates=2_000, seed=5, workers=WORKERS)
+    fixed = with_param(with_param(FIG, "pi", 0.5), "testing_fraction", 0.5)
+    point = find_critical(Target.R_DM, "p", (0.0, 0.9), fixed, coord_tol=0.2, mc=mc,
+                          abscissa=0.5)
+    assert point.critical_value == pytest.approx(0.73125, abs=1e-12)
+    x = point.critical_value
+    est = ladder_estimate(with_param(fixed, "p", x), mc, 0.5, x)
+    assert_95(point.ci_low, point.ci_high, est)
+    # profile rows of the independence product, pi = 0 included
+    spec = SweepSpec(Target.NAIVE_PRODUCT, with_param(FIG, "p", 0.5), AxisSpec("pi", 0.0, 0.5, 2))
+    for pi, value, low, high, status in spec_dataset(spec, mc).rows:
+        est = naive_combined_r(with_param(spec.fixed, "pi", pi), mc.replicates,
+                               seed=cell_seed(mc.seed, pi, 0.0))
+        assert value == est.value and status == "ok"
+        assert_95(low, high, est)
 
 
 def test_critical_curve_markers():
@@ -375,7 +433,7 @@ def test_axis_validation():
 # builtin_datasets("fig5b", seed=7, replicates=50, curve_points=2,
 # grid_points=3) and the curves of fig3a at curve_points=2, as the benchmark
 # calls them; the rows are those of the two-bisection sweep module this one
-# replaced
+# replaced, except the fig5b curve rows' intervals, which are 95%
 PINNED_FIG5B_HEATMAP = [
     [0.0, 0.0, 4.800000000000001, 4.800000000000001, 4.800000000000001, "ok"],
     [0.0, 0.5, 6.580750002391424, 5.764136419380711, 7.397363585402137, "ok"],
@@ -388,8 +446,8 @@ PINNED_FIG5B_HEATMAP = [
     [1.0, 1.0, 0.0, 0.0, 0.0, "ok"],
 ]
 PINNED_FIG5B_CURVE = [
-    [0.1, 0.953125, 0.03871312688461226, 0.8562562087985506, 1.066317537432225, "ok"],
-    [0.9, 0.765625, 0.025140241210016567, 0.9463909338706107, 1.1038895485494225, "ok"],
+    [0.1, 0.953125, 0.03871312688461226, 0.8926668390950541, 1.0299069071357214, "ok"],
+    [0.9, 0.765625, 0.025140241210016567, 0.9736906937482714, 1.0765897886717617, "ok"],
 ]
 PINNED_FIG3A_DIGITAL = [
     [0.1, 0.8320146236413469, 5.277909220779975e-10, 0.9999999994722091,
