@@ -1,6 +1,6 @@
 """Shared plumbing: deterministic seed derivation, counter-based uniform
-streams, small statistics helpers, and an order-preserving process pool
-wrapper.
+streams, small statistics helpers, and an order-preserving map over one
+process pool per process.
 
 All Monte Carlo code in this package derives its randomness from a single
 64-bit master seed through :func:`mix64`, so results are reproducible and
@@ -80,9 +80,22 @@ def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:
     return [(start, min(size, total - start)) for start in range(0, total, size)]
 
 
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+
+
 def map_ordered(fn, arg_list, workers: int):
-    """Map ``fn`` over ``arg_list`` preserving order, optionally in processes."""
+    """Map ``fn`` over ``arg_list`` preserving order, optionally in processes.
+
+    The process pool is started by the first call that needs one and kept
+    for the calls after it; it is replaced when the worker count changes or
+    a worker died, and shut down when the interpreter exits.
+    """
+    global _pool, _pool_workers
     if workers <= 1 or len(arg_list) <= 1:
         return [fn(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, arg_list))
+    if _pool is None or _pool_workers != workers or _pool._broken:
+        if _pool is not None:
+            _pool.shutdown()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    return list(_pool.map(fn, arg_list))

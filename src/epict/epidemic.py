@@ -1,6 +1,6 @@
 """Finite-population SIR simulation with diagnosis and instant contact tracing.
 
-Events are drawn from aggregate rates (infection ``beta*I*S/n``, recovery
+Events follow aggregate rates (infection ``beta*I*S/n``, recovery
 ``gamma*I``, diagnosis ``delta*I``), which has exactly the same law as the
 per-pair Poisson construction but costs O(1) bookkeeping per event.  Each
 infection draws the infectee's app-usage flag (Bernoulli(pi)) and a
@@ -10,6 +10,20 @@ its manual flag is set.  When anyone is diagnosed, tracing runs atomically
 before simulated time advances: every traceable edge is followed in both
 directions, and every reached individual who is infectious *or already
 naturally recovered* is diagnosed and traced onward (:func:`trace_closure`).
+
+The event loop draws the embedded jump chain and leaves time out of it.  At
+level k (k ever infected) the next event is an infection with probability
+b_k / c_k, a recovery with gamma / c_k and a diagnosis with delta / c_k
+(b_k = beta (n - k) / n, c_k = b_k + gamma + delta), whatever the
+infectious count I is, so one uniform against two thresholds, updated once
+per infection, decides each event's type.  The manual flag is drawn only
+where the app flags do not already make the edge traceable, since it is
+used for nothing else.  Given the chain, event e's holding time is
+Exp(I_e c_{k_e}); the loop records each event's change in I, and one numpy
+pass after it rebuilds (I, k) before every event and sums the holding
+times on a counter-based stream (:func:`_chain_outcome`).  (Andersson &
+Britton, *Stochastic Epidemic Models and Their Statistical Analysis*, 2000,
+for the jump chain.)
 
 The simulator does not walk the transmission tree.  It labels each infectee
 with its *to-be-traced component*: the infector's component if the new edge
@@ -35,7 +49,8 @@ member) every removal takes just the individual drawn, whoever that is, so
 the run is a birth-death jump chain of the infectious count.  Such a run is
 drawn level by level from the chain's exact law (:func:`_run_untraced`) in a
 few numpy calls, on counter-based streams instead of ``random.Random``; its
-outcome has the general loop's law, not its draws.
+outcome has the general loop's law, not its draws.  Its holding times come
+from the same pass as the loop's.
 
 Traced-but-susceptible individuals do not exist here (only transmission
 edges are recorded), and contacts that did not transmit are not traceable.
@@ -58,7 +73,7 @@ DIAGNOSED = 2
 
 _RUN_TAG = 0xE51D
 _LEVEL_TAG = 0x1E7E1   # the untraced sampler's level stream
-_HOLD_TAG = 0x401D     # and its holding-time stream
+_HOLD_TAG = 0x401D     # the holding-time stream of every run
 _FIRST_BLOCK = 64      # levels in the untraced sampler's first block; each next is 4x
 
 
@@ -136,19 +151,22 @@ class EpidemicOutcome:
 def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
     """Simulate one epidemic to extinction of the infectious set.
 
-    The index case's app flag is Bernoulli(pi) like everyone else's.  Every
-    infection draws the infectee's app flag and then the edge's manual flag,
-    whether or not the app flag already makes the edge traceable.
+    The index case's app flag is Bernoulli(pi) like everyone else's.  Each
+    event then draws, in this order: the uniform that decides its type; for
+    an infection, the infector, the infectee's app flag and, only when the
+    app flags do not already make the edge traceable, its manual flag; for
+    a removal, whom it removes.  The holding times are drawn after the loop
+    (:func:`_chain_outcome`).
     """
     if params.n < 2:
         raise InvalidParams("epidemic simulation needs n >= 2")
     if params.delta == 0.0 or (params.p == 0.0 and params.pi == 0.0):
         return _run_untraced(params, seed)
     uniform = random.Random(seed).random
-    log = math.log
     n = params.n
     beta_over_n = params.beta / n
-    gamma, delta, pi, p = params.gamma, params.delta, params.pi, params.p
+    gamma, pi, p = params.gamma, params.pi, params.p
+    out_rate = gamma + params.delta
 
     is_app = [uniform() < pi]
     root = [0]       # id -> component label, the id of its first member
@@ -157,26 +175,23 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
     where = [0]      # id -> position in the infectious list, -1 once removed
     push = infectious.append
     pop = infectious.pop
-    next_id = 1      # ids are handed out in infection order
+    steps = [1]      # the index case, then each event's change in I
+    record = steps.append
+    next_id = 1      # ids are handed out in infection order; the level k
     infectious_count = 1
-    peak = 1
-    events = 0
-    now = 0.0
+    # event-type thresholds at level next_id, updated once per infection
+    infect = beta_over_n * (n - next_id)
+    total = infect + out_rate
+    to_infect = infect / total
+    to_recover = (infect + gamma) / total
 
     while infectious_count:
-        rate_inf = beta_over_n * infectious_count * (n - next_id)
-        rate_rec = gamma * infectious_count
-        rate_dia = delta * infectious_count
-        total = rate_inf + rate_rec + rate_dia
-        now += -log(1.0 - uniform()) / total  # random.expovariate(total)
-        events += 1
-        u = uniform() * total
-        if u < rate_inf:
+        u = uniform()
+        if u < to_infect:
             src = infectious[int(uniform() * infectious_count)]
             app = uniform() < pi
-            manual = uniform() < p
             vid = next_id
-            if manual or (app and is_app[src]):
+            if (app and is_app[src]) or uniform() < p:
                 label = root[src]
                 group = members.get(label)
                 if group is None:
@@ -191,22 +206,27 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
             push(vid)
             infectious_count += 1
             next_id += 1
-            if infectious_count > peak:
-                peak = infectious_count
+            record(1)
+            infect = beta_over_n * (n - next_id)
+            total = infect + out_rate
+            to_infect = infect / total
+            to_recover = (infect + gamma) / total
             continue
         i = int(uniform() * infectious_count)
         vid = infectious[i]
         # a recovery, or the diagnosis of a component with no other member,
         # removes just the individual drawn; a wholly diagnosed component
         # never grows again, so its member list is dropped
-        if u < rate_inf + rate_rec or (group := members.pop(root[vid], None)) is None:
+        if u < to_recover or (group := members.pop(root[vid], None)) is None:
             last = pop()
             infectious_count -= 1
             if i < infectious_count:
                 infectious[i] = last
                 where[last] = i
             where[vid] = -1
+            record(-1)
             continue
+        before = infectious_count
         for vid in group:
             i = where[vid]
             if i >= 0:
@@ -216,12 +236,33 @@ def run_epidemic(params: Params, seed: int) -> EpidemicOutcome:
                 if i < infectious_count:
                     infectious[i] = last
                     where[last] = i
+        record(infectious_count - before)
 
+    # I and k before each event; only an infection (+1) raises k
+    steps = np.fromiter(steps, np.int64, len(steps))
+    count = np.cumsum(steps)[:-1]
+    level = np.cumsum(steps > 0)[:-1]
+    return _chain_outcome(params, seed, count, level)
+
+
+def _chain_outcome(params: Params, seed: int, count, level) -> EpidemicOutcome:
+    """The outcome of a jump chain from the infectious count ``count`` and
+    the level ``level`` (ever infected) before each of its events.
+
+    Given the chain, event e's holding time is Exp(I_e c_{k_e}), c_k = beta
+    (n - k) / n + gamma + delta, drawn by inversion from the ``_HOLD_TAG``
+    counter stream keyed by ``seed``: the duration is -sum_e log U_e /
+    (I_e c_{k_e}).  The last event empties the infectious set, so the final
+    size is its level and the peak is the largest count.
+    """
+    total = params.beta / params.n * (params.n - level) + (params.gamma + params.delta)
+    total *= count
+    log_u = np.log(stream_uniforms(mix64(seed, _HOLD_TAG), 1, count.size))
     return EpidemicOutcome(
-        final_size=next_id,
-        peak_infectious=peak,
-        event_count=events,
-        duration=now,
+        final_size=int(level[-1]),
+        peak_infectious=int(count.max()),
+        event_count=count.size,
+        duration=-float(np.sum(log_u / total)),
     )
 
 
@@ -234,11 +275,11 @@ def _run_untraced(params: Params, seed: int) -> EpidemicOutcome:
     b_k = beta (n - k) / n, whatever I is, so the removals D_k drawn at level
     k before the next infection are Geometric(p_k), independent across
     levels; D_n is infinite (nobody is left to infect).  The level-k start
-    count is I_k = k - sum_{j<k} D_j, the final size F is the first k with
-    sum_{j<=k} D_j >= k, and the peak is the largest I_k up to F.  Each of
-    the 2F - 1 events then draws its exponential holding time at its own
-    rate (b_k + gamma + delta) I.  (Andersson & Britton, *Stochastic Epidemic
-    Models and Their Statistical Analysis*, 2000, for the jump chain.)
+    count is I_k = k - sum_{j<k} D_j, and the final size F is the first k
+    with sum_{j<=k} D_j >= k.  The holding times of the 2F - 1 events are
+    then drawn as in the traced loop (:func:`_chain_outcome`).  (Andersson
+    & Britton, *Stochastic Epidemic Models and Their Statistical Analysis*,
+    2000, for the jump chain.)
 
     Levels are drawn in blocks of growing size, so that a run allocates in
     proportion to its final size, never to ``n``.  The level draws and the
@@ -274,22 +315,13 @@ def _run_untraced(params: Params, seed: int) -> EpidemicOutcome:
     d, ends = (b[0] if len(blocks) == 1 else np.concatenate(b) for b in zip(*blocks))
     final = d.size
     levels = np.arange(1, final + 1)
-    start = levels - ends + d                   # I_k
     per_level = d + 1                           # D_k removals, then an infection
-    per_level[-1] = start[-1]                   # the last level: I_F removals
+    per_level[-1] = final - ends[-1] + d[-1]    # the last level: its I_k removals
     # level k's events start at event 2k - 1 - I_k (0-based), so the e-th
     # event sees I = 2k - 1 - e
     count = np.repeat(np.arange(1, 2 * final, 2), per_level)
     count -= np.arange(count.size)
-    total = np.repeat(beta_over_n * (n - levels) + out_rate, per_level)
-    total *= count
-    log_u = np.log(stream_uniforms(mix64(seed, _HOLD_TAG), 1, count.size))
-    return EpidemicOutcome(
-        final_size=final,
-        peak_infectious=int(start.max()),
-        event_count=log_u.size,
-        duration=-float(np.sum(log_u / total)),
-    )
+    return _chain_outcome(params, seed, count, np.repeat(levels, per_level))
 
 
 MAJOR_THRESHOLD = 0.10  # an outbreak is major when it infects more than this fraction of n

@@ -15,14 +15,18 @@ conservation and the tracing fixed point after every diagnosis.
 
 ``untraced_law`` is the exact law of a run without tracing at small ``n``:
 a forward recursion over the jump chain on (I, k), independent of the
-sampler's geometric levels.
+sampler's geometric levels.  With a kill at the diagnosis rate it is also
+the exact law of a run in which every edge is traceable (``p = 1``).
 """
 
 import math
 import random
 
+import numpy as np
+
 from epict import DIAGNOSED, INFECTIOUS, RECOVERED, EpidemicOutcome, EpidemicRecords, Params
-from epict.epidemic import trace_closure
+from epict._util import mix64, stream_uniforms
+from epict.epidemic import _HOLD_TAG, trace_closure
 
 
 def tail_prob_jumps(k: int, params: Params) -> float:
@@ -55,7 +59,7 @@ def tail_prob_jumps(k: int, params: Params) -> float:
     return alive * survive**k
 
 
-def untraced_law(params: Params) -> tuple[list[float], float]:
+def untraced_law(params: Params, kill: bool = False) -> tuple[list[float], float]:
     """Exact law of a run in which tracing cannot act, at small ``n``.
 
     Without tracing every removal takes one individual, so a run is the jump
@@ -67,12 +71,18 @@ def untraced_law(params: Params) -> tuple[list[float], float]:
     downwards within each k, so that both states feeding (I, k) are final
     before it is read.
 
+    With ``kill`` a diagnosis (rate delta I) ends the run at final size k
+    instead of removing one individual: the law of a run at ``p = 1``, where
+    every edge is traceable and the first diagnosis reaches everyone ever
+    infected.
+
     Returns ``(final, duration)``: ``final[k]`` is P(final size = k) for k
     in 0..n (``final[0]`` is 0), and ``duration`` is the expected time to
     extinction, the sum over states of P(visit) / total rate.
     """
     n = params.n
     out = params.gamma + params.delta
+    down = params.gamma if kill else out
     final = [0.0] * (n + 1)
     duration = 0.0
     # visit probabilities at k - 1, indexed by I, and the infection
@@ -84,32 +94,39 @@ def untraced_law(params: Params) -> tuple[list[float], float]:
         total = infect + out
         here = [0.0] * (n + 2)
         for i in range(k, 0, -1):
-            visit = below[i - 1] * infect_below + here[i + 1] * out / total
+            visit = below[i - 1] * infect_below + here[i + 1] * down / total
             here[i] = visit
             duration += visit / (total * i)
-        final[k] = here[1] * out / total
+        final[k] = here[1] * down / total
+        if kill:
+            final[k] += sum(here) * params.delta / total
         below, infect_below = here, infect / total
     return final, duration
 
 
 def run_epidemic_tree(params: Params, seed: int, debug_checks: bool = False):
-    """One epidemic to extinction; returns (outcome, transmission tree)."""
-    rng = random.Random(seed)
-    uniform = rng.random
-    expovariate = rng.expovariate
+    """One epidemic to extinction; returns (outcome, transmission tree).
+
+    Each event's type comes from one uniform against the per-individual
+    rates at that event (infection ``beta S / n``, recovery ``gamma``,
+    diagnosis ``delta``).  An edge's manual flag is drawn only when the app
+    flags do not already make the edge traceable, and is recorded False
+    otherwise, where it plays no part.  The duration sums the holding times
+    over the recorded (I, k) before each event, on the holding-time stream.
+    """
+    uniform = random.Random(seed).random
     n = params.n
     beta_over_n = params.beta / n
     gamma, delta, pi, p = params.gamma, params.delta, params.pi, params.p
 
     records = EpidemicRecords()
     records.add(-1, uniform() < pi, False)
-    state = records.state
+    state, is_app = records.state, records.is_app
     infectious = [0]
     slot = {0: 0}
     susceptible = n - 1
     peak = 1
-    events = 0
-    now = 0.0
+    counts, levels = [], []  # I and k before each event
 
     def discard(vid):
         i = slot.pop(vid)
@@ -120,20 +137,21 @@ def run_epidemic_tree(params: Params, seed: int, debug_checks: bool = False):
 
     while infectious:
         count = len(infectious)
-        rate_inf = beta_over_n * count * susceptible
-        rate_rec = gamma * count
-        total = rate_inf + rate_rec + delta * count
-        now += expovariate(total)
-        events += 1
-        u = uniform() * total
-        if u < rate_inf:
+        counts.append(count)
+        levels.append(len(records))
+        infect = beta_over_n * susceptible
+        total = infect + (gamma + delta)
+        u = uniform()
+        if u < infect / total:
             src = infectious[int(uniform() * count)]
-            vid = records.add(src, uniform() < pi, uniform() < p)
+            app = uniform() < pi
+            manual = not (app and is_app[src]) and uniform() < p
+            vid = records.add(src, app, manual)
             slot[vid] = count
             infectious.append(vid)
             susceptible -= 1
             peak = max(peak, count + 1)
-        elif u < rate_inf + rate_rec:
+        elif u < (infect + gamma) / total:
             vid = infectious[int(uniform() * count)]
             state[vid] = RECOVERED
             discard(vid)
@@ -147,8 +165,12 @@ def run_epidemic_tree(params: Params, seed: int, debug_checks: bool = False):
             if debug_checks:
                 assert_invariants(records, susceptible, len(infectious), n)
 
+    counts, levels = np.array(counts), np.array(levels)
+    rates = (beta_over_n * (n - levels) + (gamma + delta)) * counts
+    log_u = np.log(stream_uniforms(mix64(seed, _HOLD_TAG), 1, counts.size))
     outcome = EpidemicOutcome(
-        final_size=len(records), peak_infectious=peak, event_count=events, duration=now
+        final_size=len(records), peak_infectious=peak, event_count=counts.size,
+        duration=-float(np.sum(log_u / rates)),
     )
     return outcome, records
 

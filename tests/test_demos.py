@@ -35,9 +35,9 @@ def run_demo(name):
     # every outbreak outcome, end to end through a two-worker ensemble
     ("03_outbreak_simulation.py",
      ["no tracing           0.638  [0.617, 0.659]        0.924",
-      "app tracing only     0.470  [0.448, 0.492]        0.815",
-      "manual only          0.291  [0.272, 0.311]        0.506",
-      "both                 0.015  [0.011, 0.021]        0.141"]),
+      "app tracing only     0.478  [0.457, 0.500]        0.814",
+      "manual only          0.277  [0.258, 0.297]        0.506",
+      "both                 0.014  [0.010, 0.020]        0.147"]),
     # the only demo that bisects both closed-form and Monte Carlo targets
     ("04_critical_curves.py",
      ["   0.3     |   0.822    |       0.790        |  0.778",

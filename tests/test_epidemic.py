@@ -14,6 +14,7 @@ from epict import (
     DIAGNOSED,
     INFECTIOUS,
     RECOVERED,
+    EpidemicOutcome,
     EpidemicRecords,
     InvalidParams,
     Params,
@@ -166,24 +167,24 @@ def test_determinism_per_seed():
 # every diagnosis
 PINNED_OUTCOMES = {
     (0.0, 0.0): {
-        11: (1, 1, 1, 0.7558013378605367, 1),
-        12: (4607, 1365, 9213, 52.10200906945868, 2317),
-        13: (4663, 1442, 9325, 44.45462090327528, 2327),
+        11: (4653, 1446, 9305, 53.799360433277684, 2326),
+        12: (4595, 1367, 9189, 48.85946547121162, 2260),
+        13: (4609, 1365, 9217, 54.416733854856986, 2324),
     },
     (0.0, 2 / 3): {
-        11: (1, 1, 1, 0.7558013378605367, 1),
-        12: (3, 2, 4, 2.06363935080532, 3),
-        13: (4120, 768, 7137, 65.12816966410371, 2983),
+        11: (4185, 773, 7231, 63.637643178079394, 3051),
+        12: (5, 4, 6, 1.7920997707544537, 5),
+        13: (4002, 642, 6893, 66.32750137656953, 2950),
     },
     (2 / 3, 0.0): {
-        11: (1, 1, 1, 0.7558013378605367, 1),
-        12: (3, 2, 4, 2.06363935080532, 3),
-        13: (2818, 291, 4244, 62.838549951094414, 2513),
+        11: (2550, 182, 3797, 77.82537729608099, 2318),
+        12: (2552, 190, 3852, 78.50345869359913, 2300),
+        13: (2014, 137, 2975, 88.78455023961195, 1836),
     },
     (2 / 3, 2 / 3): {
-        11: (1, 1, 1, 0.7558013378605367, 1),
-        12: (3, 2, 4, 2.06363935080532, 3),
-        13: (84, 22, 114, 18.021397369054835, 77),
+        11: (30, 14, 35, 7.939642145533794, 30),
+        12: (5, 4, 6, 1.7920997707544537, 5),
+        13: (19, 14, 26, 6.730822712745842, 17),
     },
 }
 UNTRACEABLE_ROW = (0.0, 0.0)
@@ -340,9 +341,24 @@ def test_untraced_sampler_exact_law(row):
     assert all(o.event_count == 2 * o.final_size - 1 for o in out)
 
 
+def test_certain_tracing_exact_law():
+    # p = 1: every edge is traceable, so the first diagnosis ends the run;
+    # the event loop against the recursion with a kill at rate delta I
+    params = small(p=1.0, n=30)
+    final, mean_duration = untraced_law(params, kill=True)
+    runs = 20000
+    out = ensemble_outcomes(params, runs, seed=44, workers=1)
+    sizes = np.bincount([o.final_size for o in out], minlength=params.n + 1)
+    assert chi_square_pvalue(sizes[1:], runs * np.array(final[1:])) > 1e-3
+    durations = np.array([o.duration for o in out])
+    se = durations.std(ddof=1) / math.sqrt(runs)
+    assert abs(durations.mean() - mean_duration) <= 4.0 * se
+
+
 def test_untraced_law_oracle():
     # the recursion's own checks: total mass, the first step's closed form,
-    # n = 2 by hand, and the tree simulator's final sizes
+    # n = 2 by hand without and with the kill, and the tree simulator's
+    # final sizes
     params = small(p=0.0, pi=0.0, n=12)
     final, _ = untraced_law(params)
     out_rate = params.gamma + params.delta
@@ -354,6 +370,12 @@ def test_untraced_law_oracle():
     assert final2 == pytest.approx([0.0, 1.0 - infect, infect], abs=1e-15)
     hand = 1.0 / (two.beta / 2 + out_rate) + infect * (1.0 / (2 * out_rate) + 1.0 / out_rate)
     assert duration2 == pytest.approx(hand, rel=1e-12)
+    final2, duration2 = untraced_law(two, kill=True)
+    assert final2 == pytest.approx([0.0, 1.0 - infect, infect], abs=1e-15)
+    recover = two.gamma / out_rate  # at (2, 2), the only move that reaches (1, 2)
+    hand = 1.0 / (two.beta / 2 + out_rate) + infect * (1.0 / (2 * out_rate) + recover / out_rate)
+    assert duration2 == pytest.approx(hand, rel=1e-12)
+    assert sum(untraced_law(small(n=12), kill=True)[0]) == pytest.approx(1.0, abs=1e-12)
     runs = 3000
     sizes = np.bincount(
         [run_epidemic_tree(params, run_seed(47, i))[0].final_size for i in range(runs)],
@@ -418,7 +440,7 @@ def test_summary_no_major_outbreaks():
 
 def test_summary_one_major_outbreak_has_no_se():
     # one sample has no spread: its standard error is absent, not 0
-    outcomes = ensemble_outcomes(Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 5000), 60, 6)
+    outcomes = [EpidemicOutcome(3, 2, 5, 1.5)] * 59 + [EpidemicOutcome(516, 40, 700, 30.0)]
     s = summarize_ensemble(outcomes, 5000)
     assert s.major_count == 1 and s.mean_major_size == 0.1032
     assert math.isnan(s.major_size_se)
