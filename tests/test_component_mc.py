@@ -24,14 +24,17 @@ from epict import (
     RootType,
     component_dies_out,
     component_growth_bound,
+    delta_for_testing_fraction,
     estimate_offspring_matrix,
     naive_combined_r,
     offspring_matrix_digital,
     r0,
     r_component_combined,
     r_component_digital,
+    r_manual,
     simulate_components,
 )
+from epict import component
 from epict.component import _CHUNK
 
 from conftest import WORKERS
@@ -73,13 +76,14 @@ def scalar_component(params, root, seed, index, cap=10**7):
     (j+1) golden-ratio increments; the holding time before each jump counts
     as its conditional mean 1/total.  Returns the record that
     ``simulate_components`` stores (jumps, app exposure, non-app exposure,
-    app-users ever infected) and the way the component ended.
+    exposure at total size 1, app-users ever infected) and the way the
+    component ended.
     """
     key = stream_key(seed, root, index)
     b, g, d, pi, p = params.beta, params.gamma, params.delta, params.pi, params.p
     k = 1.0 if root is RootType.APP else 0.0
     l = 1.0 - k
-    ae = ne = 0.0
+    ae = ne = s1 = 0.0
     ever_app = int(k)
     jumps = 0
     cause = "all-recovered"
@@ -96,6 +100,8 @@ def scalar_component(params, root, seed, index, cap=10**7):
         total = t4 + kl * d
         ae += k / total
         ne += l / total
+        if k + l == 1:
+            s1 += 1.0 / total
         u *= total
         jumps += 1
         if u < t1:
@@ -110,7 +116,16 @@ def scalar_component(params, root, seed, index, cap=10**7):
         else:
             k = l = 0.0
             cause = "diagnosed"
-    return (jumps, ae, ne, ever_app), cause
+    return (jumps, ae, ne, s1, ever_app), cause
+
+
+FIELDS = ("jumps", "app_exposure", "nonapp_exposure", "size_one_exposure",
+          "ever_infected_app", "hit_cap")
+
+
+def record(samples, i):
+    """Replicate ``i``'s record in ``scalar_component``'s layout."""
+    return tuple(getattr(samples, f)[i] for f in FIELDS[:-1])
 
 
 def assert_matches_scalar(params, root, replicates, seed, cap=10**7):
@@ -119,9 +134,9 @@ def assert_matches_scalar(params, root, replicates, seed, cap=10**7):
     s = simulate_components(params, root, replicates, seed, cap=cap)
     causes = []
     for i in range(replicates):
-        record, cause = scalar_component(params, root, seed, i, cap)
-        got = (s.jumps[i], s.app_exposure[i], s.nonapp_exposure[i], s.ever_infected_app[i])
-        assert got == record, (i, got, record)
+        want, cause = scalar_component(params, root, seed, i, cap)
+        assert record(s, i) == want, (i, record(s, i), want)
+        assert s.hit_cap[i] == (cause == "event-cap-hit")
         causes.append(cause)
     assert s.capped == causes.count("event-cap-hit")
     return s, causes
@@ -308,7 +323,7 @@ def test_determinism_across_chunks_and_workers(table2_params):
         one = simulate_components(table2_params, root, replicates, seed=19, workers=1)
         two = simulate_components(table2_params, root, replicates, seed=19, workers=2)
         assert one.capped == two.capped
-        for field in ("jumps", "app_exposure", "nonapp_exposure", "ever_infected_app"):
+        for field in FIELDS:
             assert np.array_equal(getattr(one, field), getattr(two, field))
     one = r_component_combined(table2_params, replicates, seed=19, workers=1)
     two = r_component_combined(table2_params, replicates, seed=19, workers=2)
@@ -320,13 +335,12 @@ def test_replicate_streams_keyed_by_index(table2_params):
     # shorter run is a prefix of a longer one, across chunk boundaries too
     long = simulate_components(table2_params, RootType.NON_APP, _CHUNK + 3_000, seed=123)
     short = simulate_components(table2_params, RootType.NON_APP, _CHUNK + 7, seed=123)
-    for field in ("jumps", "app_exposure", "nonapp_exposure", "ever_infected_app"):
+    for field in FIELDS:
         assert np.array_equal(getattr(long, field)[: _CHUNK + 7], getattr(short, field))
     # and recomputes alone from those three numbers
     for i in (0, 5, _CHUNK + 2_999):
-        record, _ = scalar_component(table2_params, RootType.NON_APP, 123, i)
-        assert record == (long.jumps[i], long.app_exposure[i],
-                          long.nonapp_exposure[i], long.ever_infected_app[i])
+        want, _ = scalar_component(table2_params, RootType.NON_APP, 123, i)
+        assert record(long, i) == want
     keys = {stream_key(123, RootType.APP, 5), stream_key(123, RootType.APP, 6),
             stream_key(123, RootType.NON_APP, 5)}
     assert len(keys) == 3
@@ -352,20 +366,38 @@ def percentile_bootstrap(rows, resamples=1000, blocks=1000, seed=0):
     return float(lo), float(hi)
 
 
+def absorption_control(params, s):
+    """Per-replicate control 1 - 1{capped} - gamma*S1 - delta*(ae + ne).
+
+    A component is absorbed once, at a diagnosis (rate delta*(k+l)) or at
+    its last recovery (rate gamma while k+l = 1), unless the event cap stops
+    it first; Dynkin's formula makes the control's mean exactly 0.
+    """
+    return (1.0 - s.hit_cap.astype(float) - params.gamma * s.size_one_exposure
+            - params.delta * (s.app_exposure + s.nonapp_exposure))
+
+
+def control_adjusted(x, c):
+    """x minus its least-squares multiple of the control c."""
+    (vc, cxc), _ = np.cov(c, x)
+    return x - cxc / vc * c
+
+
 def test_r_combined_reference_values(table2_params):
     est = r_component_combined(table2_params, 150_000, seed=61, workers=WORKERS)
     assert est.value == pytest.approx(0.92, abs=0.02)
     assert est.ci_low < est.value < est.ci_high
-    # a bootstrap over the same replicate streams should roughly agree with
-    # the delta-method interval
+    # a bootstrap over the same replicate streams, rebuilt with the same
+    # control adjustment, should roughly agree with the delta-method interval
     p = table2_params
     to_app = p.beta * p.pi * (1.0 - p.p)
     to_non = p.beta * (1.0 - p.pi) * (1.0 - p.p)
     rows = []
     for root in (RootType.APP, RootType.NON_APP):
         s = simulate_components(p, root, 150_000, seed=61, workers=WORKERS)
-        rows += [to_app * s.nonapp_exposure,
-                 to_non * (s.app_exposure + s.nonapp_exposure)]
+        c = absorption_control(p, s)
+        rows += [control_adjusted(to_app * s.nonapp_exposure, c),
+                 control_adjusted(to_non * (s.app_exposure + s.nonapp_exposure), c)]
     m = est.matrix.mean
     assert [x.mean() for x in rows] == pytest.approx(
         [m.m11, m.m12, m.m21, m.m22], rel=1e-12
@@ -373,6 +405,68 @@ def test_r_combined_reference_values(table2_params):
     boot = percentile_bootstrap(rows)
     assert boot[0] == pytest.approx(est.ci_low, abs=5 * est.se)
     assert boot[1] == pytest.approx(est.ci_high, abs=5 * est.se)
+
+
+FIG5B_INTERIOR = Params(6 / 7, 1 / 7, 1 / 28, 0.9, 0.1, 1)
+
+
+@pytest.mark.parametrize("params, cap", [
+    (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1), 10**7),  # reference point
+    (FIG5B_INTERIOR, 10**7),
+    (Params(0.15, 1 / 7, 0.0, 0.5, 0.5, 1), 10**7),  # delta = 0, subcritical
+    (Params(2.0, 1 / 7, 1e-3, 0.9, 0.5, 1), 64),  # most replicates capped
+], ids=["reference", "fig5b", "no-testing", "capped"])
+def test_absorption_control_has_mean_zero(params, cap):
+    assert component_dies_out(params)
+    for root in RootType:
+        s = simulate_components(params, root, 20_000, seed=81, cap=cap, workers=WORKERS)
+        c = absorption_control(params, s)
+        if cap == 64:
+            assert s.capped > 0.5 * c.size
+        assert abs(c.mean()) <= 4 * c.std(ddof=1) / math.sqrt(c.size)
+
+
+def _lattice_radius(params):
+    m11, m12, m21, m22 = lattice_offspring_matrix(params, 100)
+    return 0.5 * (m11 + m22) + math.sqrt(0.25 * (m11 - m22) ** 2 + m12 * m21)
+
+
+@pytest.mark.parametrize("params, exact", [
+    (Params(0.8, 1 / 7, 1 / 7, 0.0, 2 / 3, 1), r_manual),
+    (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 0.0, 1), r_component_digital),
+    (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1), _lattice_radius),
+    (FIG5B_INTERIOR, _lattice_radius),
+    (Params(6 / 7, 1 / 7, delta_for_testing_fraction(0.01, 1 / 7), 0.1, 0.1, 1),
+     _lattice_radius),
+], ids=["pi=0", "p=0", "reference", "fig5b", "testing-0.01"])
+@pytest.mark.parametrize("replicates", [2_000, 20_000])
+def test_control_variate_estimate(params, exact, replicates, monkeypatch):
+    est = r_component_combined(params, replicates, seed=91, workers=WORKERS)
+    assert abs(est.value - exact(params)) <= 4 * est.se
+    # in-sample least squares never widens an element's standard error
+    monkeypatch.setattr(component, "_CV_MIN_REPLICATES", math.inf)
+    plain = r_component_combined(params, replicates, seed=91, workers=WORKERS)
+    assert all(a <= b * (1 + 1e-12) for a, b in zip(est.matrix.se, plain.matrix.se))
+    assert est.se < plain.se
+
+
+def test_plain_means_below_control_threshold(table2_params, monkeypatch):
+    replicates = component._CV_MIN_REPLICATES - 1
+    est = r_component_combined(table2_params, replicates, seed=92)
+    rows = []
+    for root in RootType:
+        s = simulate_components(table2_params, root, replicates, seed=92)
+        rows += [s.nonapp_exposure, s.app_exposure + s.nonapp_exposure]
+    p = table2_params
+    to_app = p.beta * p.pi * (1.0 - p.p)
+    to_non = p.beta * (1.0 - p.pi) * (1.0 - p.p)
+    m = est.matrix.mean
+    assert [m.m11, m.m12, m.m21, m.m22] == [
+        (to_app * rows[0]).mean(), (to_non * rows[1]).mean(),
+        (to_app * rows[2]).mean(), (to_non * rows[3]).mean(),
+    ]
+    monkeypatch.setattr(component, "_CV_MIN_REPLICATES", math.inf)
+    assert r_component_combined(table2_params, replicates, seed=92) == est
 
 
 def test_r_combined_manual_only_matches_series(table2_params):
