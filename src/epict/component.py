@@ -48,10 +48,14 @@ Replicates run in lockstep: a block of them advances one jump per step in
 NumPy arrays, and those that die or reach the event cap leave the live set.
 Once fewer than a handful are left, a scalar loop finishes each one with the
 same float expressions, because per-step array overhead would otherwise
-dominate small estimates.  Replicate ``i``'s draws are the splitmix64
-sequence seeded with a key hashed from (seed, root type, i), draw ``j``
-being the hash of the key plus ``j+1`` golden-ratio increments (a
-counter-based stream, computed in wrapping uint64).  Every replicate can
+dominate small estimates.  An estimate simulates both root types in one
+pass: their replicates share blocks, each starting from (1, 0) or (0, 1)
+under the same rates, so a small estimate pays that overhead once rather
+than once per root type.  A task of the process pool holds at most
+``_CHUNK`` replicates of each root type.  Replicate ``i``'s draws are the
+splitmix64 sequence seeded with a key hashed from (seed, root type, i),
+draw ``j`` being the hash of the key plus ``j+1`` golden-ratio increments
+(a counter-based stream, computed in wrapping uint64).  Every replicate can
 therefore be recomputed alone, and every estimate is bit-identical for any
 worker count and any split of the work.
 """
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,13 +128,14 @@ def component_dies_out(params: Params) -> bool:
 
 @dataclass
 class ComponentSamples:
-    """Per-replicate records for one root type, in replicate-index order.
+    """Per-replicate records in replicate-index order.
 
-    The three exposures are the conditional-mean occupation integrals of k,
-    l and 1{k+l = 1}; ``hit_cap`` marks the replicates stopped at the event
-    cap."""
+    ``root`` is one root type, or a tuple of them; then each array has one
+    row per root type, in that order.  The three exposures are the
+    conditional-mean occupation integrals of k, l and 1{k+l = 1};
+    ``hit_cap`` marks the replicates stopped at the event cap."""
 
-    root: RootType
+    root: RootType | tuple[RootType, ...]
     jumps: np.ndarray
     app_exposure: np.ndarray
     nonapp_exposure: np.ndarray
@@ -141,6 +146,12 @@ class ComponentSamples:
     @property
     def capped(self) -> int:
         return int(self.hit_cap.sum())
+
+    def by_root(self) -> tuple[ComponentSamples, ...]:
+        """The records of a tuple of root types, one single-root set each."""
+        rows = [getattr(self, f.name) for f in fields(self)[1:]]
+        return tuple(ComponentSamples(root, *(a[i] for a in rows))
+                     for i, root in enumerate(self.root))
 
 
 def _finish(key, k, l, ae, ne, s1, ev, jumps, cap, rates):
@@ -185,16 +196,18 @@ def _finish(key, k, l, ae, ne, s1, ev, jumps, cap, rates):
 
 
 def _run_block(keys, app_root, rates, cap, out) -> None:
-    """Simulate the replicates keyed by ``keys`` in lockstep and write their
-    records into the ``out`` arrays (jumps, app exposure, non-app exposure,
-    size-one exposure, ever app, capped)."""
+    """Simulate the replicates keyed by ``keys``, rooted at an app-user where
+    the boolean array ``app_root`` holds and at a non-app-user elsewhere, in
+    lockstep and write their records into the ``out`` arrays (jumps, app
+    exposure, non-app exposure, size-one exposure, ever app, capped)."""
     grow_app_k, grow_app_l, gamma, grow_non, delta = rates
     n = keys.size
     idx = np.arange(n)
     # rows: k, l, app exposure, non-app exposure, size-one exposure,
     # app-users ever infected
     state = np.zeros((6, n))
-    state[0 if app_root else 1] = 1.0
+    state[0] = app_root
+    state[1] = ~app_root
     state[5] = state[0]
     jumps = 0
     while idx.size >= _TAIL and jumps < cap:
@@ -238,41 +251,49 @@ def _run_block(keys, app_root, rates, cap, out) -> None:
 
 
 def _simulate_chunk(args) -> tuple:
-    rates, root_value, seed, start, count, cap = args
+    """Replicates ``start`` .. ``start + count - 1`` of each root type, as
+    arrays with one row per root type.  The rows run as one index space cut
+    into lockstep blocks, so a block may hold replicates of both types."""
+    rates, root_values, seed, start, count, cap = args
+    shape = (len(root_values), count)
     out = (
-        np.empty(count, dtype=np.int64),  # jumps
-        np.empty(count),  # app exposure
-        np.empty(count),  # non-app exposure
-        np.empty(count),  # size-one exposure
-        np.empty(count, dtype=np.int64),  # app-users ever infected
-        np.zeros(count, dtype=bool),  # capped
+        np.empty(shape, dtype=np.int64),  # jumps
+        np.empty(shape),  # app exposure
+        np.empty(shape),  # non-app exposure
+        np.empty(shape),  # size-one exposure
+        np.empty(shape, dtype=np.int64),  # app-users ever infected
+        np.zeros(shape, dtype=bool),  # capped
     )
-    base = mix64(seed, root_value)
-    for first, size in chunk_ranges(count, _BLOCK):
+    flat = [a.reshape(-1) for a in out]  # views, root-major
+    bases = np.array([mix64(seed, value) for value in root_values], dtype=np.uint64)
+    app = np.array([value == RootType.APP.value for value in root_values])
+    for first, size in chunk_ranges(flat[0].size, _BLOCK):
+        row, index = np.divmod(np.arange(first, first + size), count)
         # key of replicate i: mix64(seed, root, i), its last fold vectorised
-        keys = mix64_array(np.arange(start + first, start + first + size, dtype=np.uint64) + base)
+        keys = mix64_array((index + start).astype(np.uint64) + bases[row])
         block = slice(first, first + size)
-        _run_block(
-            keys, root_value == RootType.APP.value, rates, cap, [a[block] for a in out]
-        )
+        _run_block(keys, app[row], rates, cap, [a[block] for a in flat])
     return out
 
 
 def simulate_components(
     params: Params,
-    root: RootType,
+    root: RootType | tuple[RootType, ...],
     replicates: int,
     seed: int,
     cap: int = EVENT_CAP,
     workers: int = 1,
 ) -> ComponentSamples:
-    """Simulate independent component replicates rooted at ``root``.
+    """Simulate ``replicates`` independent components rooted at ``root``, or
+    that many per root type of a tuple, all in one pass.
 
     Each record is the replicate's jump count (``cap`` if it hit the cap),
     its conditional-mean occupation integrals of k, l and 1{k+l = 1}, the
-    number of app-users it ever held and whether it hit the cap.  Work is
-    split into fixed chunks of replicates; with ``workers > 1`` and more
-    than one chunk, chunks run in processes.
+    number of app-users it ever held and whether it hit the cap.  A record
+    depends only on (seed, root type, index), never on what ran beside it.
+    Work is split into fixed chunks of up to ``_CHUNK`` replicates of each
+    root type; with ``workers > 1`` and more than one chunk, chunks run in
+    processes.
 
     Raises DivergentSeries without simulating when delta = 0 and the
     component's own growth is supercritical: such components survive forever
@@ -287,12 +308,14 @@ def simulate_components(
         )
     beta, pi, p = params.beta, params.pi, params.p
     rates = (beta * pi, beta * pi * p, params.gamma, beta * (1.0 - pi) * p, params.delta)
+    roots = root if isinstance(root, tuple) else (root,)
     tasks = [
-        (rates, root.value, seed, start, count, cap)
+        (rates, tuple(r.value for r in roots), seed, start, count, cap)
         for start, count in chunk_ranges(replicates, _CHUNK)
     ]
     parts = map_ordered(_simulate_chunk, tasks, workers)
-    return ComponentSamples(root, *(np.concatenate(rows) for rows in zip(*parts)))
+    rows = [np.concatenate(pieces, axis=1) for pieces in zip(*parts)]
+    return ComponentSamples(root, *(rows if isinstance(root, tuple) else (a[0] for a in rows)))
 
 
 @dataclass(frozen=True)
@@ -345,15 +368,16 @@ def estimate_offspring_matrix(
 ) -> MatrixEstimate:
     """Estimate the combined-model mean offspring matrix.
 
-    Row i comes from ``replicates`` components rooted at type i.  Fails if
+    Row i comes from ``replicates`` components rooted at type i, both root
+    types simulated in one pass.  Fails if
     more than 0.1% of replicates hit the event cap (a sign of a near-zero
     diagnosis rate, where components need not die out in bounded time).
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    app = simulate_components(params, RootType.APP, replicates, seed, cap, workers)
-    non = simulate_components(params, RootType.NON_APP, replicates, seed, cap, workers)
-    capped = app.capped + non.capped
+    both = simulate_components(params, tuple(RootType), replicates, seed, cap, workers)
+    app, non = both.by_root()
+    capped = both.capped
     if capped > _MAX_CAPPED_FRACTION * 2 * replicates:
         raise EventCapExceeded(
             f"{capped} of {2 * replicates} replicates hit the event cap"

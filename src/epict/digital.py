@@ -18,6 +18,14 @@ survives then follows in closed form from the jump count's generating
 function, and so does everything derived from it: every quantity here is
 exact.  Manual tracing alone (``pi = 0``) drives the same walk with the app
 fraction replaced by the manual trace probability ``p`` (:func:`r_manual`).
+
+Each formula is written once, in NumPy ufuncs, and runs either on one
+point or elementwise over many.  Given a :class:`Params`, a function returns
+a float and raises :class:`DivergentSeries` where the mean is infinite;
+:func:`r_component_digital`, :func:`r_individual_digital` and
+:func:`r_manual` also take a :class:`ParamArrays` (a sweep grid) and return
+an array holding +inf at the divergent cells.  Both run the same float
+operations, so a cell equals the scalar call at its parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import Params, r0
+import numpy as np
+
+from .params import ParamArrays, Params, r0
 
 
 class DivergentSeries(ValueError):
@@ -61,11 +71,58 @@ class OffspringMatrix:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def _walk_steps(params: Params) -> tuple[float, float, float]:
+_DIVERGES = ("expected cluster jump count E[N_c] diverges: "
+             "need delta > 0 or beta*pi < gamma")
+
+
+def _where(cond, x, y):
+    """``x`` where ``cond`` holds, else ``y``: elementwise on arrays, a plain
+    choice on scalars (both sides are computed either way)."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _closed_form(kernel, params: Params | ParamArrays, manual: bool = False):
+    """``kernel`` evaluated at one point or elementwise over many.
+
+    A kernel takes (beta, gamma, delta, pi), with p in place of pi for a
+    ``manual`` quantity, and returns +inf where its quantity diverges.  It
+    runs on float64 scalars or arrays under the same ufuncs, so a grid cell
+    and a scalar call at its parameters agree bit for bit.  Terms of a
+    branch not taken may divide by zero, which is silenced.  A
+    :class:`ParamArrays` gives an array; a :class:`Params` gives a float,
+    and DivergentSeries instead of +inf.
+    """
+    fields = (params.beta, params.gamma, params.delta, params.p if manual else params.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(params, ParamArrays):
+            return kernel(*fields)
+        value = float(kernel(*map(np.float64, fields)))
+    if value == math.inf:
+        raise DivergentSeries(_DIVERGES)
+    return value
+
+
+def _walk_steps(beta, gamma, delta, pi):
     """Per-jump (birth, recovery, kill) probabilities of the embedded walk."""
-    bp = params.beta * params.pi
-    total = bp + params.gamma + params.delta
-    return bp / total, params.gamma / total, params.delta / total
+    bp = beta * pi
+    total = bp + gamma + delta
+    return bp / total, gamma / total, delta / total
+
+
+def _jumps(beta, gamma, delta, pi):
+    a, b, d = _walk_steps(beta, gamma, delta, pi)
+    # sqrt(1 - 4ab) and D written without cancellation: 1 = (a + b + d)^2, and
+    # where 2a > 1, (1 + s - 2a)(1 + s + 2a - 2) = s^2 - (2a - 1)^2 = 4ad.
+    # Squares go through float_power, the C pow of Python's x**2: NumPy's
+    # x**2 on arrays multiplies, which rounds differently for ~0.1% of x
+    s = np.sqrt(np.float_power(a - b, 2) + d * (d + 2.0 * (a + b)))
+    phi = 2.0 * b / (1.0 + s)
+    den = _where(b + d >= a, 0.5 * (s + b + d - a), 2.0 * a * d / (s + a - b - d))
+    dphi = phi / s
+    value = dphi + d / den + a * d * (1.0 + phi + dphi) / np.float_power(den, 2)
+    bp = beta * pi
+    value = _where(bp == 0.0, 1.0, value)  # no app-side growth: exactly one jump
+    return _where((delta <= 0.0) & (bp >= gamma), math.inf, value)
 
 
 def expected_jumps(params: Params) -> float:
@@ -86,25 +143,11 @@ def expected_jumps(params: Params) -> float:
     Raises:
         DivergentSeries: if the mean is infinite.
     """
-    bp = params.beta * params.pi
-    if params.delta <= 0 and bp >= params.gamma:
-        raise DivergentSeries(
-            "expected cluster jump count E[N_c] diverges: "
-            "need delta > 0 or beta*pi < gamma"
-        )
-    if bp == 0.0:
-        return 1.0  # a cluster with no app-side growth makes exactly one jump
-    a, b, d = _walk_steps(params)
-    # sqrt(1 - 4ab) and D written without cancellation: 1 = (a + b + d)^2, and
-    # where 2a > 1, (1 + s - 2a)(1 + s + 2a - 2) = s^2 - (2a - 1)^2 = 4ad
-    s = math.sqrt((a - b) ** 2 + d * (d + 2.0 * (a + b)))
-    phi = 2.0 * b / (1.0 + s)
-    if b + d >= a:
-        den = 0.5 * (s + b + d - a)
-    else:
-        den = 2.0 * a * d / (s + a - b - d)
-    dphi = phi / s
-    return dphi + d / den + a * d * (1.0 + phi + dphi) / den**2
+    return _closed_form(_jumps, params)
+
+
+def _per_jump(beta, gamma, delta, pi):
+    return beta * (1.0 - pi) / (beta * pi + gamma + delta)
 
 
 def mean_infections_per_jump(params: Params) -> float:
@@ -114,9 +157,13 @@ def mean_infections_per_jump(params: Params) -> float:
     infects non-app-users at rate k*beta*(1-pi); the count is geometric with
     mean beta*(1-pi)/(beta*pi+gamma+delta), independent of k.
     """
-    return params.beta * (1.0 - params.pi) / (
-        params.beta * params.pi + params.gamma + params.delta
-    )
+    return _closed_form(_per_jump, params)
+
+
+def _m12(beta, gamma, delta, pi, jumps=None):
+    if jumps is None:
+        jumps = _jumps(beta, gamma, delta, pi)
+    return _where(pi < 1.0, _per_jump(beta, gamma, delta, pi) * jumps, 0.0)
 
 
 def offspring_matrix_digital(params: Params) -> OffspringMatrix:
@@ -129,48 +176,58 @@ def offspring_matrix_digital(params: Params) -> OffspringMatrix:
     (no non-app-users exist), even where the jump count diverges.
     """
     base = r0(params)
-    m12 = 0.0
-    if params.pi < 1.0:
-        m12 = mean_infections_per_jump(params) * expected_jumps(params)
     return OffspringMatrix(
-        0.0, m12, params.pi * base, (1.0 - params.pi) * base, (PROV_EXACT,) * 4
+        0.0, _closed_form(_m12, params), params.pi * base, (1.0 - params.pi) * base,
+        (PROV_EXACT,) * 4,
     )
 
 
-def r_manual(params: Params) -> float:
+def r_manual(params: Params | ParamArrays) -> float | np.ndarray:
     """Reproduction number under manual tracing only (``params.pi`` unread).
 
     A manual cluster grows per member at beta*p, recovers at gamma, is
     killed at delta and exports untraced infections at beta*(1-p) per
     member: the jump process of an app-user cluster with app fraction p.
-    So R_M is the digital m12 with pi replaced by p.
+    So R_M is the digital m12 with pi replaced by p.  Elementwise over
+    :class:`ParamArrays`, +inf where it diverges.
 
     Raises:
         DivergentSeries: if delta = 0 and beta*p >= gamma.
     """
-    manual = Params(params.beta, params.gamma, params.delta, params.p, 0.0, params.n)
-    return offspring_matrix_digital(manual).m12
+    return _closed_form(_m12, params, manual=True)
 
 
-def _spectral_radius(m11: float, m12: float, m21: float, m22: float) -> float:
+def _spectral_radius(m11, m12, m21, m22):
     # larger root of x^2 - (m11+m22) x + (m11 m22 - m12 m21); the discriminant
     # rewrites as ((m11-m22)/2)^2 + m12 m21 >= 0 for nonnegative matrices
     half_diff = 0.5 * (m11 - m22)
-    return 0.5 * (m11 + m22) + math.sqrt(half_diff * half_diff + m12 * m21)
+    return 0.5 * (m11 + m22) + np.sqrt(half_diff * half_diff + m12 * m21)
 
 
 def spectral_radius_2x2(m: OffspringMatrix) -> float:
     """Largest eigenvalue of a nonnegative 2x2 mean offspring matrix."""
-    return _spectral_radius(m.m11, m.m12, m.m21, m.m22)
+    return float(_spectral_radius(m.m11, m.m12, m.m21, m.m22))
 
 
-def r_component_digital(params: Params) -> float:
+def _r_component(beta, gamma, delta, pi):
+    base = beta / (gamma + delta)
+    return _spectral_radius(0.0, _m12(beta, gamma, delta, pi), pi * base, (1.0 - pi) * base)
+
+
+def r_component_digital(params: Params | ParamArrays) -> float | np.ndarray:
     """Cluster-level reproduction number for app-based tracing only.
 
     Spectral radius of :func:`offspring_matrix_digital`; with m11 = 0 it is
-    m22/2 + sqrt(m22^2/4 + m12*m21).  Threshold at 1.
+    m22/2 + sqrt(m22^2/4 + m12*m21).  Threshold at 1.  Elementwise over
+    :class:`ParamArrays`, +inf where it diverges.
     """
-    return spectral_radius_2x2(offspring_matrix_digital(params))
+    return _closed_form(_r_component, params)
+
+
+def _size(beta, gamma, delta, pi, jumps=None):
+    if jumps is None:
+        jumps = _jumps(beta, gamma, delta, pi)
+    return 1.0 + _walk_steps(beta, gamma, delta, pi)[0] * jumps
 
 
 def mean_component_size(params: Params) -> float:
@@ -181,23 +238,26 @@ def mean_component_size(params: Params) -> float:
     the past, so the mean size is 1 plus that fraction of the expected jump
     count.  Cross-checked against direct cluster simulation.
     """
-    birth_frac, _, _ = _walk_steps(params)
-    return 1.0 + birth_frac * expected_jumps(params)
+    return _closed_form(_size, params)
 
 
-def r_individual_digital(params: Params) -> float:
+def _r_individual(beta, gamma, delta, pi):
+    base = beta / (gamma + delta)
+    jumps = _jumps(beta, gamma, delta, pi)
+    size = _size(beta, gamma, delta, pi, jumps)
+    per_app_user = ((size - 1.0) + _m12(beta, gamma, delta, pi, jumps)) / size
+    value = _where(jumps == math.inf, math.inf, pi * per_app_user + (1.0 - pi) * base)
+    return _where(pi == 0.0, base, value)
+
+
+def r_individual_digital(params: Params | ParamArrays) -> float | np.ndarray:
     """Per-individual reproduction number under app-based tracing.
 
     A newly infected individual is an app-user with probability pi; the mean
     infections attributed to one app-user is the cluster total (internal
     births plus external non-app infections) divided by the cluster size,
     while a non-app-user simply infects beta/(gamma+delta) others.  Shares
-    the threshold at 1 with the cluster-level number.
+    the threshold at 1 with the cluster-level number.  Elementwise over
+    :class:`ParamArrays`, +inf where it diverges.
     """
-    base = r0(params)
-    if params.pi == 0.0:
-        return base
-    matrix = offspring_matrix_digital(params)
-    size = mean_component_size(params)
-    per_app_user = ((size - 1.0) + matrix.m12) / size
-    return params.pi * per_app_user + (1.0 - params.pi) * base
+    return _closed_form(_r_individual, params)

@@ -14,6 +14,9 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 
 class InvalidParams(ValueError):
@@ -76,6 +79,18 @@ class Params:
             problems.append("n must be a positive integer")
         if problems:
             raise InvalidParams("; ".join(problems))
+
+
+class ParamArrays(NamedTuple):
+    """The rates and fractions of many parameter points at once, as
+    broadcastable NumPy float arrays (``n`` is left out: no closed form reads
+    it).  Whoever builds one has validated every point as a :class:`Params`."""
+
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    pi: np.ndarray
+    p: np.ndarray
 
 
 def r0(params: Params) -> float:

@@ -30,7 +30,9 @@ import numpy as np
 from ._util import float_key, mix64
 from .component import naive_combined_r, r_component_combined
 from .digital import DivergentSeries, r_component_digital, r_individual_digital, r_manual
-from .params import AXIS_NAMES, Params, _is_whole, _number, params_from_dict, with_param
+from .params import (
+    AXIS_NAMES, ParamArrays, Params, _is_whole, _number, params_from_dict, with_param,
+)
 
 
 class Target(enum.Enum):
@@ -188,15 +190,53 @@ def evaluate_target(
             estimate = r_component_combined if target is Target.R_DM else naive_combined_r
             est = estimate(params, reps, seed=eval_seed, workers=mc.workers)
             return TargetEval(est.value, est.se)
-        if target is Target.R_D:
-            value = r_component_digital(params)
-        elif target is Target.R_IND_D:
-            value = r_individual_digital(params)
-        else:
-            value = r_manual(params)
-        return TargetEval(value)
+        return TargetEval(_closed_form_target(target, params))
     except DivergentSeries:
         return TargetEval(math.inf, status="divergent")
+
+
+def _closed_form_target(target: Target, params: Params | ParamArrays):
+    """A closed-form target at one point, or elementwise over many."""
+    if target is Target.R_D:
+        return r_component_digital(params)
+    if target is Target.R_IND_D:
+        return r_individual_digital(params)
+    return r_manual(params)
+
+
+def _cell_params(fixed: Params, axis1: AxisSpec, axis2: AxisSpec | None) -> ParamArrays:
+    """The parameters of every cell of a profile (axis1) or a row-major grid
+    (axis1 x axis2), as arrays of shape (len(axis1),) or (len(axis1), len(axis2)).
+
+    Each cell is validated, and the first invalid one refused with the same
+    error, as ``with_param(with_param(fixed, axis1, x1), axis2, x2)`` cell by
+    cell in row-major order would.  A cell differs from its row only in the
+    field that axis2 sets, and that field depends on the row only through
+    gamma (testing fraction sets delta from it), so one row per gamma value
+    is validated cell by cell and every other row reuses its second-axis field.
+    """
+    rows, columns = [], {}
+    for x1 in axis1.values():
+        row = with_param(fixed, axis1.name, x1)
+        if axis2 is not None and row.gamma not in columns:
+            columns[row.gamma] = [with_param(row, axis2.name, x2) for x2 in axis2.values()]
+        rows.append(row)
+    by_row = [np.array([getattr(row, name) for row in rows], dtype=float)
+              for name in ParamArrays._fields]
+    if axis2 is None:
+        return ParamArrays(*by_row)
+    changed = "delta" if axis2.name == "testing_fraction" else axis2.name
+    return ParamArrays(*(
+        np.array([[getattr(cell, name) for cell in columns[row.gamma]] for row in rows])
+        if name == changed else values[:, None]
+        for name, values in zip(ParamArrays._fields, by_row)
+    ))
+
+
+def _as_evals(values: list[float]) -> list[TargetEval]:
+    """Closed-form values as evaluations; +inf marks a divergent one."""
+    return [TargetEval(v) if v != math.inf else TargetEval(v, status="divergent")
+            for v in values]
 
 
 @dataclass(frozen=True)
@@ -248,7 +288,9 @@ def find_critical(
 
     Each coordinate is evaluated once, the final midpoint with the same
     escalation as every other point.  The returned point reports that
-    evaluation's 95% interval, value +- ``REPORT_Z`` standard errors.
+    evaluation's 95% interval, value +- ``REPORT_Z`` standard errors: R's
+    interval at the returned coordinate, which may exclude 1, not an
+    interval for the critical value.
 
     Solving in ``pi`` runs a monotonicity pre-scan first, because component
     reproduction numbers need not be monotone in the app fraction.  The scan
@@ -378,18 +420,26 @@ def cell_seed(mc_seed: int, x1: float, x2: float) -> int:
 
 
 def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> HeatmapGrid:
-    """Row-major grid of target evaluations over free_axis x second_axis."""
+    """Row-major grid of target evaluations over free_axis x second_axis.
+
+    A closed-form target is evaluated over the whole grid in one array pass,
+    bit-identical to :func:`evaluate_target` cell by cell.
+    """
     if spec.second_axis is None:
         raise ValueError("heatmap_grid needs a second_axis in the spec")
+    if spec.target not in MC_TARGETS:
+        values = _closed_form_target(
+            spec.target, _cell_params(spec.fixed, spec.free_axis, spec.second_axis))
+        cells = tuple(tuple(_as_evals(row)) for row in values.tolist())
+        return HeatmapGrid(spec.free_axis, spec.second_axis, cells)
     seed0 = mc.seed if mc else 0
-    sampled = spec.target in MC_TARGETS
     rows = []
     for x1 in spec.free_axis.values():
         fixed = with_param(spec.fixed, spec.free_axis.name, x1)
         rows.append(tuple(
             evaluate_target(
                 spec.target, with_param(fixed, spec.second_axis.name, x2), mc=mc,
-                eval_seed=cell_seed(seed0, x1, x2) if sampled else 0,
+                eval_seed=cell_seed(seed0, x1, x2),
             )
             for x2 in spec.second_axis.values()
         ))
@@ -397,13 +447,17 @@ def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> HeatmapGrid:
 
 
 def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, TargetEval]]:
-    """Target values along the free axis (no solving, no second axis)."""
+    """Target values along the free axis (no solving, no second axis); a
+    closed-form target in one array pass, as in :func:`heatmap_grid`."""
+    xs = spec.free_axis.values()
+    if spec.target not in MC_TARGETS:
+        values = _closed_form_target(spec.target, _cell_params(spec.fixed, spec.free_axis, None))
+        return list(zip(xs, _as_evals(values.tolist())))
     seed0 = mc.seed if mc else 0
-    sampled = spec.target in MC_TARGETS
     return [
         (x, evaluate_target(spec.target, with_param(spec.fixed, spec.free_axis.name, x),
-                            mc=mc, eval_seed=cell_seed(seed0, x, 0.0) if sampled else 0))
-        for x in spec.free_axis.values()
+                            mc=mc, eval_seed=cell_seed(seed0, x, 0.0)))
+        for x in xs
     ]
 
 
@@ -538,14 +592,11 @@ def _fig3_datasets(curve_points: int, squared: bool) -> list[SweepDataset]:
 
 
 def _fig4_dataset() -> list[SweepDataset]:
-    base = _figure_base(delta=1.0 / 7.0)
-    rows = []
-    for x in AxisSpec("pi", 0.0, 1.0, 101).values():
-        params = with_param(base, "pi", x)
-        rows.append(
-            [x, r_component_digital(params), r_individual_digital(params)]
-        )
-    return [SweepDataset("profile", ["pi", "R_D", "R_ind_D"], rows)]
+    axis = AxisSpec("pi", 0.0, 1.0, 101)
+    params = _cell_params(_figure_base(delta=1.0 / 7.0), axis, None)
+    rows = zip(axis.values(), r_component_digital(params).tolist(),
+               r_individual_digital(params).tolist())
+    return [SweepDataset("profile", ["pi", "R_D", "R_ind_D"], [list(row) for row in rows])]
 
 
 def _fig5_datasets(

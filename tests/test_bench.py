@@ -34,7 +34,9 @@ def test_traced_functions_exist():
 
 def test_traced_critical_curves_round():
     # the tracer's readers assume call shapes too: evaluate_target gets its
-    # MC settings as the keyword mc=, with a .replicates attribute
+    # MC settings as the keyword mc=, with a .replicates attribute, and the
+    # component counters come from a result of simulate_components that the
+    # estimator must therefore still call by that module attribute
     tracing, workloads = load("tracing"), load("workloads")
     tracer = tracing.Tracer()
     with tracer.patched(epict):
@@ -43,6 +45,8 @@ def test_traced_critical_curves_round():
     metrics = tracer.layer_metrics(1)
     assert metrics["sweep.evaluations"] > 0
     assert metrics["sweep.mc_replicates"] > 0
+    assert metrics["component.replicates"] > 0
+    assert metrics["component.jumps"] > 0
 
 
 def test_traced_outbreak_table_round():

@@ -35,7 +35,7 @@ from epict import (
     simulate_components,
 )
 from epict import component
-from epict.component import _CHUNK
+from epict.component import _BLOCK, _CHUNK
 
 from conftest import WORKERS
 
@@ -328,6 +328,36 @@ def test_determinism_across_chunks_and_workers(table2_params):
     one = r_component_combined(table2_params, replicates, seed=19, workers=1)
     two = r_component_combined(table2_params, replicates, seed=19, workers=2)
     assert one == two
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("replicates", [_BLOCK // 2 + 5, _CHUNK + 7],
+                         ids=["root-switch-inside-a-block", "chunk-edge"])
+def test_merged_roots_equal_single_root_calls(table2_params, replicates, workers):
+    # both root types in one pass share lockstep blocks: at BLOCK/2 + 5 per
+    # root the first block switches root type in its middle, and at CHUNK + 7
+    # the second task holds 7 of each, with two tasks for the process pool
+    both = simulate_components(table2_params, tuple(RootType), replicates, seed=29,
+                               workers=workers)
+    assert both.root == tuple(RootType)
+    assert both.jumps.shape == (2, replicates)
+    for root, merged in zip(RootType, both.by_root()):
+        alone = simulate_components(table2_params, root, replicates, seed=29)
+        assert merged.root is root
+        for field in FIELDS:
+            got, want = getattr(merged, field), getattr(alone, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (root, field)
+    assert both.capped == sum(part.capped for part in both.by_root())
+
+
+def test_merged_roots_equal_single_root_calls_at_the_cap():
+    p = Params(2.0, 1 / 7, 1e-3, 0.9, 0.5, 1)
+    both = simulate_components(p, tuple(RootType), 300, seed=3, cap=64)
+    assert both.capped > 300
+    for root, merged in zip(RootType, both.by_root()):
+        alone = simulate_components(p, root, 300, seed=3, cap=64)
+        for field in FIELDS:
+            assert np.array_equal(getattr(merged, field), getattr(alone, field))
 
 
 def test_replicate_streams_keyed_by_index(table2_params):

@@ -3,11 +3,13 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from epict import (
     AxisSpec,
+    InvalidParams,
     MCSettings,
     NonMonotoneTarget,
     NoRootInBracket,
@@ -24,6 +26,7 @@ from epict import (
     profile,
     r_component_combined,
     r_component_digital,
+    r_individual_digital,
     r_manual,
     spec_from_json,
     with_param,
@@ -325,6 +328,127 @@ def test_profile_runs_along_axis():
     assert [x for x, _ in out] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     vals = [ev.value for _, ev in out]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def cell_by_cell(spec):
+    """The grid a closed-form heatmap held before its array pass: one
+    ``evaluate_target`` per cell, in row-major order."""
+    rows = []
+    for x1 in spec.free_axis.values():
+        fixed = with_param(spec.fixed, spec.free_axis.name, x1)
+        rows.append(tuple(
+            evaluate_target(spec.target, with_param(fixed, spec.second_axis.name, x2))
+            for x2 in spec.second_axis.values()
+        ))
+    return tuple(rows)
+
+
+def bits(cells):
+    """Each cell's value bits (``float.hex`` tells -0.0 from 0.0), se and status."""
+    return [[(ev.value.hex(), ev.se, ev.status) for ev in row] for row in cells]
+
+
+FIG3A_GRID = SweepSpec(
+    Target.R_D, FIG,
+    AxisSpec("testing_fraction", 0.0, FMAX, 43),
+    second_axis=AxisSpec("pi", 0.0, 1.0, 51),
+)
+RM_GRID = replace(FIG3A_GRID, target=Target.R_M, second_axis=AxisSpec("p", 0.0, 1.0, 51))
+
+
+@pytest.mark.parametrize("spec", [
+    FIG3A_GRID,
+    replace(FIG3A_GRID, target=Target.R_IND_D),
+    RM_GRID,
+    # each row's gamma sets the delta of its testing-fraction cells
+    SweepSpec(Target.R_D, with_param(FIG, "pi", 0.7), AxisSpec("gamma", 0.05, 1.0, 7),
+              second_axis=AxisSpec("testing_fraction", 0.0, 0.9, 9)),
+    SweepSpec(Target.R_IND_D, FIG, AxisSpec("testing_fraction", 0.0, 0.5, 4),
+              second_axis=AxisSpec("gamma", 0.1, 1.0, 5)),
+    # dense enough that squaring by multiplication, as NumPy's ** does on
+    # arrays, instead of the scalar path's pow shows in a few cells
+    SweepSpec(Target.R_D, with_param(FIG, "delta", 1 / 28), AxisSpec("beta", 0.1, 3.0, 150),
+              second_axis=AxisSpec("pi", 0.0, 1.0, 150)),
+], ids=["fig3a-R_D", "R_ind_D", "R_M", "gamma-x-testing", "testing-x-gamma", "dense"])
+def test_closed_form_heatmap_equals_scalar_cells_bit_for_bit(spec):
+    grid = heatmap_grid(spec)
+    assert bits(grid.cells) == bits(cell_by_cell(spec))
+    assert all(type(ev.value) is float for row in grid.cells for ev in row)
+
+
+def test_closed_form_heatmap_divergent_and_full_coverage_cells():
+    # testing fraction 0 is delta = 0, where a cluster with beta*pi >= gamma
+    # (pi >= 1/6, 42 of the 51 app fractions) can grow forever.  At pi = 1
+    # R_D is 0 (no non-app-users), while R_ind_D still divides by the
+    # divergent cluster size; R_M does the same in p.
+    grids = {
+        "R_D": heatmap_grid(FIG3A_GRID).cells,
+        "R_ind_D": heatmap_grid(replace(FIG3A_GRID, target=Target.R_IND_D)).cells,
+        "R_M": heatmap_grid(RM_GRID).cells,
+    }
+    divergent = {name: [j for j, ev in enumerate(cells[0]) if ev.status == "divergent"]
+                 for name, cells in grids.items()}
+    assert divergent == {"R_D": list(range(9, 50)), "R_ind_D": list(range(9, 51)),
+                         "R_M": list(range(9, 50))}
+    for name, cells in grids.items():
+        assert all(math.isinf(ev.value) for ev in cells[0] if ev.status == "divergent")
+        assert all(ev.status == "ok" for row in cells[1:] for ev in row), name
+        if name != "R_ind_D":
+            assert [row[-1].value for row in cells] == [0.0] * 43
+
+
+def refusal(make):
+    with pytest.raises(InvalidParams) as err:
+        make()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("axis1, axis2", [
+    (AxisSpec("testing_fraction", 0.0, 0.5, 3), AxisSpec("pi", 0.0, 1.2, 7)),
+    (AxisSpec("testing_fraction", 0.0, 1.0, 3), AxisSpec("pi", 0.0, 1.0, 7)),
+    # both bad: row 0's out-of-range pi comes before the last row's fraction 1
+    (AxisSpec("testing_fraction", 0.0, 1.0, 3), AxisSpec("pi", 0.0, 1.2, 7)),
+    (AxisSpec("gamma", -1.0, 1.0, 3), AxisSpec("testing_fraction", 0.0, 0.5, 3)),
+    (AxisSpec("pi", 0.0, 1.0, 3), AxisSpec("n", 1.0, 2.0, 3)),
+], ids=["pi", "fraction-1", "first-in-row-major", "gamma", "fractional-n"])
+def test_closed_form_heatmap_refuses_invalid_cells_as_before(axis1, axis2):
+    spec = SweepSpec(Target.R_D, FIG, axis1, second_axis=axis2)
+    message = refusal(lambda: cell_by_cell(spec))
+    assert refusal(lambda: heatmap_grid(spec)) == message
+
+
+def test_closed_form_profile_refuses_invalid_points_as_before():
+    spec = SweepSpec(Target.R_IND_D, FIG, AxisSpec("pi", 0.0, 1.2, 7))
+
+    def point_by_point():
+        for x in spec.free_axis.values():
+            evaluate_target(spec.target, with_param(FIG, "pi", x))
+
+    message = refusal(point_by_point)
+    assert message == "pi out of [0,1]"
+    assert refusal(lambda: profile(spec)) == message
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5])
+@pytest.mark.parametrize("target", [Target.R_D, Target.R_IND_D, Target.R_M])
+def test_closed_form_profile_equals_scalar_points_bit_for_bit(target, fraction):
+    spec = SweepSpec(target, with_param(FIG, "testing_fraction", fraction),
+                     AxisSpec("p" if target is Target.R_M else "pi", 0.0, 1.0, 101))
+    want = [(x, evaluate_target(target, with_param(spec.fixed, spec.free_axis.name, x)))
+            for x in spec.free_axis.values()]
+    got = profile(spec)
+    assert [x for x, _ in got] == [x for x, _ in want]
+    assert bits([[ev for _, ev in got]]) == bits([[ev for _, ev in want]])
+
+
+def test_fig4_profile_equals_scalar_points_bit_for_bit():
+    [dataset] = builtin_datasets("fig4", seed=0)
+    want = []
+    for x in AxisSpec("pi", 0.0, 1.0, 101).values():
+        params = Params(6 / 7, 1 / 7, 1 / 7, x, 0.0, 1)
+        want.append([x, r_component_digital(params), r_individual_digital(params)])
+    assert [[v.hex() for v in row] for row in dataset.rows] == \
+        [[v.hex() for v in row] for row in want]
 
 
 SPEC_JSON = {
