@@ -18,7 +18,6 @@ The package has five layers:
 
 from .params import (
     InvalidParams,
-    ParamArrays,
     Params,
     delta_for_testing_fraction,
     params_from_dict,

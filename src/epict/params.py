@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,6 +129,41 @@ def with_param(params: Params, name: str, value) -> Params:
     if name == "n":
         value = _population_size(value)
     return dataclasses.replace(params, **{name: value})
+
+
+def param_grid(fixed: Params, first: tuple[str, Sequence],
+               second: tuple[str, Sequence] | None = None) -> ParamArrays:
+    """The parameters of every point of a profile over ``first`` or of a
+    row-major grid over ``first`` x ``second``, each a (name, values) pair,
+    as arrays of shape (len(first),) or (len(first), len(second)).
+
+    Every point is validated, and the first invalid one refused with the same
+    error, as ``with_param(with_param(fixed, name1, x1), name2, x2)`` point by
+    point in row-major order would.  A point differs from its row only in the
+    field that ``name2`` sets, and :func:`with_param` reads the row for that
+    field only through gamma (a testing fraction sets delta from it), so the
+    second axis is validated once per distinct gamma and shared by every row
+    with that gamma.
+    """
+    name1, values1 = first
+    rows, columns = [], {}
+    for x1 in values1:
+        row = with_param(fixed, name1, x1)
+        if second is not None and row.gamma not in columns:
+            columns[row.gamma] = [with_param(row, second[0], x2) for x2 in second[1]]
+        rows.append(row)
+    by_row = [np.array([getattr(row, name) for row in rows], dtype=float)
+              for name in ParamArrays._fields]
+    if second is None:
+        return ParamArrays(*by_row)
+    shape = (len(rows), len(second[1]))
+    changed = "delta" if second[0] == "testing_fraction" else second[0]
+    return ParamArrays(*(
+        np.array([[getattr(point, name) for point in columns[row.gamma]] for row in rows],
+                 dtype=float)
+        if name == changed else np.broadcast_to(values[:, None], shape)
+        for name, values in zip(ParamArrays._fields, by_row)
+    ))
 
 
 def params_from_dict(obj: dict, base: Params | None = None) -> Params:

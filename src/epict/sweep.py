@@ -31,7 +31,8 @@ from ._util import float_key, mix64
 from .component import naive_combined_r, r_component_combined
 from .digital import DivergentSeries, r_component_digital, r_individual_digital, r_manual
 from .params import (
-    AXIS_NAMES, ParamArrays, Params, _is_whole, _number, params_from_dict, with_param,
+    AXIS_NAMES, ParamArrays, Params, _is_whole, _number, param_grid, params_from_dict,
+    with_param,
 )
 
 
@@ -204,33 +205,10 @@ def _closed_form_target(target: Target, params: Params | ParamArrays):
     return r_manual(params)
 
 
-def _cell_params(fixed: Params, axis1: AxisSpec, axis2: AxisSpec | None) -> ParamArrays:
-    """The parameters of every cell of a profile (axis1) or a row-major grid
-    (axis1 x axis2), as arrays of shape (len(axis1),) or (len(axis1), len(axis2)).
-
-    Each cell is validated, and the first invalid one refused with the same
-    error, as ``with_param(with_param(fixed, axis1, x1), axis2, x2)`` cell by
-    cell in row-major order would.  A cell differs from its row only in the
-    field that axis2 sets, and that field depends on the row only through
-    gamma (testing fraction sets delta from it), so one row per gamma value
-    is validated cell by cell and every other row reuses its second-axis field.
-    """
-    rows, columns = [], {}
-    for x1 in axis1.values():
-        row = with_param(fixed, axis1.name, x1)
-        if axis2 is not None and row.gamma not in columns:
-            columns[row.gamma] = [with_param(row, axis2.name, x2) for x2 in axis2.values()]
-        rows.append(row)
-    by_row = [np.array([getattr(row, name) for row in rows], dtype=float)
-              for name in ParamArrays._fields]
-    if axis2 is None:
-        return ParamArrays(*by_row)
-    changed = "delta" if axis2.name == "testing_fraction" else axis2.name
-    return ParamArrays(*(
-        np.array([[getattr(cell, name) for cell in columns[row.gamma]] for row in rows])
-        if name == changed else values[:, None]
-        for name, values in zip(ParamArrays._fields, by_row)
-    ))
+def _cell_params(fixed: Params, axis1: AxisSpec, axis2: AxisSpec | None = None) -> ParamArrays:
+    """Every cell of a profile (axis1) or a row-major grid (axis1 x axis2)."""
+    second = None if axis2 is None else (axis2.name, axis2.values())
+    return param_grid(fixed, (axis1.name, axis1.values()), second)
 
 
 def _as_evals(values: list[float]) -> list[TargetEval]:
@@ -451,7 +429,7 @@ def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, 
     closed-form target in one array pass, as in :func:`heatmap_grid`."""
     xs = spec.free_axis.values()
     if spec.target not in MC_TARGETS:
-        values = _closed_form_target(spec.target, _cell_params(spec.fixed, spec.free_axis, None))
+        values = _closed_form_target(spec.target, _cell_params(spec.fixed, spec.free_axis))
         return list(zip(xs, _as_evals(values.tolist())))
     seed0 = mc.seed if mc else 0
     return [
@@ -593,7 +571,7 @@ def _fig3_datasets(curve_points: int, squared: bool) -> list[SweepDataset]:
 
 def _fig4_dataset() -> list[SweepDataset]:
     axis = AxisSpec("pi", 0.0, 1.0, 101)
-    params = _cell_params(_figure_base(delta=1.0 / 7.0), axis, None)
+    params = _cell_params(_figure_base(delta=1.0 / 7.0), axis)
     rows = zip(axis.values(), r_component_digital(params).tolist(),
                r_individual_digital(params).tolist())
     return [SweepDataset("profile", ["pi", "R_D", "R_ind_D"], [list(row) for row in rows])]

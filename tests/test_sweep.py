@@ -369,10 +369,17 @@ RM_GRID = replace(FIG3A_GRID, target=Target.R_M, second_axis=AxisSpec("p", 0.0, 
     # arrays, instead of the scalar path's pow shows in a few cells
     SweepSpec(Target.R_D, with_param(FIG, "delta", 1 / 28), AxisSpec("beta", 0.1, 3.0, 150),
               second_axis=AxisSpec("pi", 0.0, 1.0, 150)),
-], ids=["fig3a-R_D", "R_ind_D", "R_M", "gamma-x-testing", "testing-x-gamma", "dense"])
+    # targets that do not read the second axis still fill every cell
+    SweepSpec(Target.R_D, FIG, AxisSpec("pi", 0.0, 1.0, 6), second_axis=AxisSpec("p", 0.0, 1.0, 5)),
+    SweepSpec(Target.R_M, FIG, AxisSpec("testing_fraction", 0.0, 0.5, 4),
+              second_axis=AxisSpec("pi", 0.0, 1.0, 5)),
+    SweepSpec(Target.R_D, FIG, AxisSpec("pi", 0.0, 1.0, 6), second_axis=AxisSpec("n", 1.0, 9.0, 5)),
+], ids=["fig3a-R_D", "R_ind_D", "R_M", "gamma-x-testing", "testing-x-gamma", "dense",
+        "R_D-pi-x-p", "R_M-testing-x-pi", "R_D-pi-x-n"])
 def test_closed_form_heatmap_equals_scalar_cells_bit_for_bit(spec):
     grid = heatmap_grid(spec)
     assert bits(grid.cells) == bits(cell_by_cell(spec))
+    assert [len(row) for row in grid.cells] == [spec.second_axis.points] * spec.free_axis.points
     assert all(type(ev.value) is float for row in grid.cells for ev in row)
 
 
