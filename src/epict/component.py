@@ -23,26 +23,43 @@ Rao-Blackwellisations).  So only the jump chain is sampled, one uniform per
 jump, and a state (k, l) held before a jump adds k/total and l/total to the
 occupation integrals.
 
-Each replicate also carries a zero-mean control.  A component ends exactly
-once, at a diagnosis (rate delta*(k+l)) or at its last recovery (rate gamma
-while k+l = 1), unless the event cap stops it first.  Dynkin's formula for
-that counting process gives
-
-    E[1{not capped}] = delta*E[int (k+l) dt] + gamma*E[int 1{k+l=1} dt],
-
-so c = 1 - 1{capped} - gamma*S1 - delta*(ae + ne) has mean exactly 0, with
-S1 the conditional-mean occupation integral of 1{k+l = 1} (a martingale
-control variate, Henderson & Glynn, Math. Oper. Res. 27, 2002).  From
+Each replicate also carries five zero-mean controls (martingale control
+variates, Henderson & Glynn, Math. Oper. Res. 27, 2002).  For any jump
+type, the number of such jumps minus the sum over the replicate's jumps of
+that type's probability (rate times conditional-mean holding time) has
+mean exactly 0 (Dynkin's formula), the event cap included.  The types used
+are the component's end (a diagnosis, at rate delta*(k+l), or its last
+recovery, at rate gamma while k+l = 1), which gives the absorption control
+1 - 1{capped} - gamma*S1 - delta*(ae + ne), with S1 the conditional-mean
+occupation integral of 1{k+l = 1}; and app joins, app recoveries, non-app
+joins and non-app recoveries.  Every count comes from the records: app
+joins are ``ever_infected_app`` minus the root's k; the recoveries are what
+the root and the joins added minus the state (``k_stop``, ``l_stop``) at
+which the replicate stopped; and the non-app joins follow from the
+conservation of jumps (:attr:`ComponentSamples.nonapp_joins`).  From
 ``_CV_MIN_REPLICATES`` (2000) replicates per root type up, each of the four
-contribution series x becomes x - b*c, b being its least-squares coefficient
-on c over the same replicates; the means, standard errors and row
-covariances then come from the adjusted series.  At the reference point
-this narrows the R_DM interval about 5x.  Below the threshold the plain
-means are kept, bit for bit: with tens or hundreds of replicates the fitted
-coefficient's own noise makes the adjusted standard error under-cover.  At
-testing fraction 0.01 (pi = p = 0.1) the adjusted z-scores against the
-lattice oracle spread 1.93 at 50 replicates (22% outside +-1.96) and 1.09
-at 800, against 0.96 at 2000, where the plain ones spread 0.99.
+contribution series x becomes x minus its least-squares combination of the
+controls over the same replicates; the means, standard errors and row
+covariances then come from the adjusted series.  At the reference point the
+absorption control alone narrows the R_DM interval about 5x and all five
+about 8x.
+
+Below the threshold the plain means are kept, bit for bit: with tens or
+hundreds of replicates the fitted coefficients' own noise makes the
+adjusted standard error under-cover.  At testing fraction 0.01 (pi = p =
+0.1) the absorption-adjusted z-scores against the lattice oracle spread
+1.93 at 50 replicates (22% outside +-1.96) and 1.09 at 800, against 0.96 at
+2000, where the plain ones spread 0.99.  The four jump-count controls need
+one more condition: ``_JUMP_CV_MIN_DIAGNOSED`` (200) replicates of the root
+type that a diagnosis ended.  Together the counts pin the occupation
+integrals down except through the state each diagnosis removes (or the cap
+stops at), so what they leave is carried by the diagnosed replicates, and
+with few of those its variance is underestimated: at the same point the
+five-control z-scores spread 1.32 over 2000 replicates holding about 55
+diagnosed ones (13% outside), and 1.05 over 8000 holding about 220.  (With
+delta = 0 and no replicate at the cap nothing is left, and all five would
+make the estimate exact up to rounding; having no diagnosed replicate, it
+keeps the absorption control.)
 
 Replicates run in lockstep: a block of them advances one jump per step in
 NumPy arrays, and those that die or reach the event cap leave the live set.
@@ -85,7 +102,9 @@ _BLOCK = 32768          # replicates per lockstep block: bounds the working set
 _CHUNK = 2 * _BLOCK     # replicates per task; more than one task uses processes
 _TAIL = 32              # live replicates below which the scalar loop is cheaper
 _MAX_CAPPED_FRACTION = 0.001
-_CV_MIN_REPLICATES = 2000  # per root type; the control's fit under-covers below
+# the controls' fit under-covers below these (see the module docstring):
+_CV_MIN_REPLICATES = 2000     # replicates per root type, for any control
+_JUMP_CV_MIN_DIAGNOSED = 200  # diagnosed ones, for the four jump-count controls
 
 
 class RootType(enum.Enum):
@@ -133,7 +152,10 @@ class ComponentSamples:
     ``root`` is one root type, or a tuple of them; then each array has one
     row per root type, in that order.  The three exposures are the
     conditional-mean occupation integrals of k, l and 1{k+l = 1};
-    ``hit_cap`` marks the replicates stopped at the event cap."""
+    ``k_stop`` and ``l_stop`` are the state at which the replicate stopped:
+    the state a diagnosis removed, (0, 0) after the last recovery, or the
+    live state at the event cap; ``hit_cap`` marks the replicates stopped
+    at the event cap."""
 
     root: RootType | tuple[RootType, ...]
     jumps: np.ndarray
@@ -141,11 +163,39 @@ class ComponentSamples:
     nonapp_exposure: np.ndarray
     size_one_exposure: np.ndarray
     ever_infected_app: np.ndarray
+    k_stop: np.ndarray
+    l_stop: np.ndarray
     hit_cap: np.ndarray
 
     @property
     def capped(self) -> int:
         return int(self.hit_cap.sum())
+
+    @property
+    def diagnosed(self) -> np.ndarray:
+        """Whether each replicate ended by a diagnosis: it stopped, not at
+        the cap, in a state with someone in it."""
+        return ~self.hit_cap & (self.k_stop + self.l_stop > 0)
+
+    @property
+    def _root_k(self) -> np.ndarray | int:
+        """k at the root: 1 for an app-user root and 0 otherwise (one per
+        row for a tuple of root types)."""
+        if isinstance(self.root, tuple):
+            return np.array([[int(r is RootType.APP)] for r in self.root])
+        return int(self.root is RootType.APP)
+
+    @property
+    def nonapp_joins(self) -> np.ndarray:
+        """Non-app-users each replicate added, from the conservation of its
+        jumps.  Every jump is an app join (``ever_infected_app`` minus the
+        root's k), an app recovery, a non-app join, a non-app recovery or
+        the diagnosis that ended it, and the recoveries are what the joins
+        and the root added minus the state at the stop, so jumps =
+        2*app joins + 2*non-app joins + 1 - k_stop - l_stop + diagnosed."""
+        twice = (self.jumps - 2 * (self.ever_infected_app - self._root_k) - 1
+                 + self.k_stop + self.l_stop - self.diagnosed)
+        return twice // 2
 
     def by_root(self) -> tuple[ComponentSamples, ...]:
         """The records of a tuple of root types, one single-root set each."""
@@ -154,18 +204,18 @@ class ComponentSamples:
                      for i, root in enumerate(self.root))
 
 
-def _finish(key, k, l, ae, ne, s1, ev, jumps, cap, rates):
+def _finish(key, ae, ne, s1, ev, k, l, jumps, cap, rates):
     """Run one replicate from state (k, l) after ``jumps`` jumps to its end.
 
     The scalar twin of the lockstep step in :func:`_run_block`: the same
     draw and the same float expressions, so the outputs are bit-identical.
     Returns (jumps, app exposure, non-app exposure, size-one exposure,
-    ever app, capped).
+    ever app, k and l at the stop, capped).
     """
     grow_app_k, grow_app_l, gamma, grow_non, delta = rates
     while k or l:
         if jumps >= cap:
-            return jumps, ae, ne, s1, ev, True
+            return jumps, ae, ne, s1, ev, k, l, True
         z = (key + (jumps + 1) * _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -191,27 +241,28 @@ def _finish(key, k, l, ae, ne, s1, ev, jumps, cap, rates):
         elif u < t4:
             l -= 1.0
         else:
-            k = l = 0.0
-    return jumps, ae, ne, s1, ev, False
+            break  # a diagnosis: the replicate stops at the state it removes
+    return jumps, ae, ne, s1, ev, k, l, False
 
 
 def _run_block(keys, app_root, rates, cap, out) -> None:
     """Simulate the replicates keyed by ``keys``, rooted at an app-user where
     the boolean array ``app_root`` holds and at a non-app-user elsewhere, in
     lockstep and write their records into the ``out`` arrays (jumps, app
-    exposure, non-app exposure, size-one exposure, ever app, capped)."""
+    exposure, non-app exposure, size-one exposure, ever app, k and l at the
+    stop, capped)."""
     grow_app_k, grow_app_l, gamma, grow_non, delta = rates
     n = keys.size
     idx = np.arange(n)
-    # rows: k, l, app exposure, non-app exposure, size-one exposure,
-    # app-users ever infected
+    # rows: app exposure, non-app exposure, size-one exposure, app-users
+    # ever infected, k, l -- the order of the records from ``out[1]`` on
     state = np.zeros((6, n))
-    state[0] = app_root
-    state[1] = ~app_root
-    state[5] = state[0]
+    state[4] = app_root
+    state[5] = ~app_root
+    state[3] = state[4]
     jumps = 0
     while idx.size >= _TAIL and jumps < cap:
-        k, l, ae, ne, s1, ev = state
+        ae, ne, s1, ev, k, l = state
         u = mix64_array(keys + ((jumps + 1) * _GOLDEN & _MASK64)) >> 11
         u = u * _UNIT
         t1 = k * grow_app_k + l * grow_app_l
@@ -233,19 +284,20 @@ def _run_block(keys, app_root, rates, cap, out) -> None:
         k -= c1 ^ c2
         l += c2 ^ c3
         l -= c3 ^ c4
-        k *= c4
-        l *= c4
         jumps += 1
+        # a diagnosis (c4 false) leaves (k, l) as it was: the replicate
+        # leaves the live set here, holding the state it was removed at
         live = np.add(k, l, out=kl) > 0.0
+        live &= c4
         if not live.all():
             dead = ~live
             gone = idx[dead]
             out[0][gone] = jumps
-            for row in range(1, 5):
-                out[row][gone] = state[row + 1, dead]
+            for row, values in zip(out[1:], state[:, dead]):
+                row[gone] = values
             idx, keys, state = idx[live], keys[live], state[:, live]
-    for i, (key, (k, l, ae, ne, s1, ev)) in enumerate(zip(keys.tolist(), state.T.tolist())):
-        record = _finish(key, k, l, ae, ne, s1, ev, jumps, cap, rates)
+    for i, (key, values) in enumerate(zip(keys.tolist(), state.T.tolist())):
+        record = _finish(key, *values, jumps, cap, rates)
         for row, value in zip(out, record):
             row[idx[i]] = value
 
@@ -262,6 +314,8 @@ def _simulate_chunk(args) -> tuple:
         np.empty(shape),  # non-app exposure
         np.empty(shape),  # size-one exposure
         np.empty(shape, dtype=np.int64),  # app-users ever infected
+        np.empty(shape, dtype=np.int32),  # k at the stop
+        np.empty(shape, dtype=np.int32),  # l at the stop
         np.zeros(shape, dtype=bool),  # capped
     )
     flat = [a.reshape(-1) for a in out]  # views, root-major
@@ -289,7 +343,8 @@ def simulate_components(
 
     Each record is the replicate's jump count (``cap`` if it hit the cap),
     its conditional-mean occupation integrals of k, l and 1{k+l = 1}, the
-    number of app-users it ever held and whether it hit the cap.  A record
+    number of app-users it ever held, the state (k, l) at which it stopped
+    and whether it hit the cap.  A record
     depends only on (seed, root type, index), never on what ran beside it.
     Work is split into fixed chunks of up to ``_CHUNK`` replicates of each
     root type; with ``workers > 1`` and more than one chunk, chunks run in
@@ -331,26 +386,87 @@ class MatrixEstimate:
     capped: int = 0
 
 
+def _controls(params: Params, samples: ComponentSamples) -> np.ndarray:
+    """The five zero-mean controls of one root type's replicates, one row
+    each.
+
+    Each is a count of the component's jumps minus its compensator, the sum
+    over the replicate's jumps of that jump type's probability (its rate
+    times the conditional-mean holding time), so each has mean exactly 0:
+    the absorption control (diagnoses and last recoveries), then app joins,
+    app recoveries, non-app joins and non-app recoveries.  The recovery
+    counts follow from conservation: what the root and the joins added
+    minus the state at the stop.
+    """
+    beta, gamma, delta, pi, p = (params.beta, params.gamma, params.delta,
+                                 params.pi, params.p)
+    k0 = int(samples.root is RootType.APP)
+    ae, ne = samples.app_exposure, samples.nonapp_exposure
+    exposure = ae + ne
+    ever_app, nonapp_joins = samples.ever_infected_app, samples.nonapp_joins
+    c = np.empty((5, ae.size))
+    absorbed, app_joins, app_recoveries, non_joins, non_recoveries = c
+    # the counts, then minus their compensators, in place
+    np.subtract(1.0, samples.hit_cap, out=absorbed)
+    absorbed -= gamma * samples.size_one_exposure
+    absorbed -= delta * exposure
+    np.subtract(ever_app, k0, out=app_joins)
+    app_joins -= beta * pi * ae
+    app_joins -= beta * pi * p * ne
+    np.subtract(ever_app, samples.k_stop, out=app_recoveries)
+    app_recoveries -= gamma * ae
+    non_joins[:] = nonapp_joins
+    non_joins -= beta * (1.0 - pi) * p * exposure
+    np.subtract(nonapp_joins + (1 - k0), samples.l_stop, out=non_recoveries)
+    non_recoveries -= gamma * ne
+    return c
+
+
 def _row_samples(params: Params, samples: ComponentSamples):
     """Per-replicate contributions to (m_i1, m_i2) for one root type: the
     birth rates of app-user and non-app-user roots times occupation time,
-    each minus its least-squares multiple of the zero-mean absorption
-    control from ``_CV_MIN_REPLICATES`` replicates up."""
+    each minus its least-squares combination of the zero-mean controls of
+    :func:`_controls` from ``_CV_MIN_REPLICATES`` replicates up: all five
+    once ``_JUMP_CV_MIN_DIAGNOSED`` of the replicates ended by a diagnosis,
+    the absorption control alone before that.
+
+    A control that is the same on every replicate is left out (pi = 0
+    makes no app joins, p = 0 no non-app joins), and the fit drops every
+    direction of the controls' correlation matrix below 1e-9 of its
+    largest (with delta = 0 the four jump-count controls sum to 0), so it
+    never divides by a vanishing variance.  A series that is the same on
+    every replicate is left as it is."""
     to_app = params.beta * params.pi * (1.0 - params.p)
     to_non = params.beta * (1.0 - params.pi) * (1.0 - params.p)
     exposure = samples.app_exposure + samples.nonapp_exposure
     rows = (to_app * samples.nonapp_exposure, to_non * exposure)
-    if samples.jumps.size < _CV_MIN_REPLICATES:
+    n = samples.jumps.size
+    if n < _CV_MIN_REPLICATES:
         return rows
-    control = (1.0 - samples.hit_cap - params.gamma * samples.size_one_exposure
-               - params.delta * exposure)
-    if control.min() == control.max():
-        return rows  # every replicate took the same path: nothing to regress on
-    centred = control - control.mean()
-    # elementwise sums, not a BLAS dot product: BLAS would start threads of
-    # its own that compete for the cores with the process pool's workers
-    scale = np.sum(centred * centred)
-    return tuple(x - np.sum(centred * (x - x.mean())) / scale * control for x in rows)
+    controls = _controls(params, samples)
+    if np.count_nonzero(samples.diagnosed) < _JUMP_CV_MIN_DIAGNOSED:
+        controls = controls[:1]
+    varies = [c.min() != c.max() for c in controls]
+    if not all(varies):
+        controls = controls[varies]
+    fitted = [i for i, x in enumerate(rows) if x.min() != x.max()]
+    if not controls.size or not fitted:
+        return rows  # nothing to regress on, or nothing to reduce
+    # einsum without ``optimize`` sums in its own loops, never in BLAS,
+    # which would start threads that compete with the process pool's
+    # workers.  The controls' means are near 0, so their Gram matrix loses
+    # nothing by centring after the sums.
+    mean = controls.mean(axis=1)
+    gram = np.einsum("in,jn->ij", controls, controls) - n * np.outer(mean, mean)
+    cross = np.column_stack([np.einsum("in,n->i", controls, rows[i] - rows[i].mean())
+                             for i in fitted])
+    scale = np.sqrt(np.diag(gram))
+    coef = np.linalg.lstsq(gram / np.outer(scale, scale), cross / scale[:, None],
+                           rcond=1e-9)[0] / scale[:, None]
+    out = list(rows)
+    for j, i in enumerate(fitted):
+        out[i] = rows[i] - np.einsum("i,in->n", coef[:, j], controls)
+    return tuple(out)
 
 
 def _mean_se_cov(x: np.ndarray, y: np.ndarray):

@@ -12,6 +12,7 @@ engine must reproduce bit for bit.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -76,8 +77,9 @@ def scalar_component(params, root, seed, index, cap=10**7):
     (j+1) golden-ratio increments; the holding time before each jump counts
     as its conditional mean 1/total.  Returns the record that
     ``simulate_components`` stores (jumps, app exposure, non-app exposure,
-    exposure at total size 1, app-users ever infected) and the way the
-    component ended.
+    exposure at total size 1, app-users ever infected, k and l at the stop,
+    non-app-users joined) and the way the component ended.  A diagnosis
+    stops it at the state the diagnosis removes.
     """
     key = stream_key(seed, root, index)
     b, g, d, pi, p = params.beta, params.gamma, params.delta, params.pi, params.p
@@ -85,6 +87,7 @@ def scalar_component(params, root, seed, index, cap=10**7):
     l = 1.0 - k
     ae = ne = s1 = 0.0
     ever_app = int(k)
+    nonapp_joins = 0
     jumps = 0
     cause = "all-recovered"
     while k or l:
@@ -111,21 +114,23 @@ def scalar_component(params, root, seed, index, cap=10**7):
             k -= 1
         elif u < t3:
             l += 1
+            nonapp_joins += 1
         elif u < t4:
             l -= 1
         else:
-            k = l = 0.0
             cause = "diagnosed"
-    return (jumps, ae, ne, s1, ever_app), cause
+            break
+    return (jumps, ae, ne, s1, ever_app, int(k), int(l), nonapp_joins), cause
 
 
 FIELDS = ("jumps", "app_exposure", "nonapp_exposure", "size_one_exposure",
-          "ever_infected_app", "hit_cap")
+          "ever_infected_app", "k_stop", "l_stop", "hit_cap")
 
 
 def record(samples, i):
     """Replicate ``i``'s record in ``scalar_component``'s layout."""
-    return tuple(getattr(samples, f)[i] for f in FIELDS[:-1])
+    return (tuple(getattr(samples, f)[i] for f in FIELDS[:-1])
+            + (samples.nonapp_joins[i],))
 
 
 def assert_matches_scalar(params, root, replicates, seed, cap=10**7):
@@ -137,6 +142,7 @@ def assert_matches_scalar(params, root, replicates, seed, cap=10**7):
         want, cause = scalar_component(params, root, seed, i, cap)
         assert record(s, i) == want, (i, record(s, i), want)
         assert s.hit_cap[i] == (cause == "event-cap-hit")
+        assert s.diagnosed[i] == (cause == "diagnosed")
         causes.append(cause)
     assert s.capped == causes.count("event-cap-hit")
     return s, causes
@@ -407,10 +413,31 @@ def absorption_control(params, s):
             - params.delta * (s.app_exposure + s.nonapp_exposure))
 
 
-def control_adjusted(x, c):
-    """x minus its least-squares multiple of the control c."""
-    (vc, cxc), _ = np.cov(c, x)
-    return x - cxc / vc * c
+def jump_controls(params, s):
+    """The four jump-count controls, each the count of one jump type minus
+    the sum over the replicate's jumps of that type's probability, which
+    is the rate times the conditional-mean holding time, so each has mean
+    exactly 0: app joins, app recoveries, non-app joins and non-app
+    recoveries.  A recovery count is what the root and the joins added
+    minus the state at the stop."""
+    b, g, pi, p = params.beta, params.gamma, params.pi, params.p
+    k0 = 1 if s.root is RootType.APP else 0
+    ae, ne = s.app_exposure, s.nonapp_exposure
+    app_joins = s.ever_infected_app - k0
+    nonapp_joins = s.nonapp_joins
+    return {
+        "app-joins": app_joins - b * pi * ae - b * pi * p * ne,
+        "app-recoveries": k0 + app_joins - s.k_stop - g * ae,
+        "nonapp-joins": nonapp_joins - b * (1 - pi) * p * (ae + ne),
+        "nonapp-recoveries": 1 - k0 + nonapp_joins - s.l_stop - g * ne,
+    }
+
+
+def control_adjusted(x, controls):
+    """x minus its least-squares combination of the controls."""
+    design = np.column_stack([c - c.mean() for c in controls])
+    coef = np.linalg.lstsq(design, x - x.mean(), rcond=None)[0]
+    return x - np.column_stack(controls) @ coef
 
 
 def test_r_combined_reference_values(table2_params):
@@ -418,14 +445,15 @@ def test_r_combined_reference_values(table2_params):
     assert est.value == pytest.approx(0.92, abs=0.02)
     assert est.ci_low < est.value < est.ci_high
     # a bootstrap over the same replicate streams, rebuilt with the same
-    # control adjustment, should roughly agree with the delta-method interval
+    # five-control adjustment, should roughly agree with the delta-method
+    # interval
     p = table2_params
     to_app = p.beta * p.pi * (1.0 - p.p)
     to_non = p.beta * (1.0 - p.pi) * (1.0 - p.p)
     rows = []
     for root in (RootType.APP, RootType.NON_APP):
         s = simulate_components(p, root, 150_000, seed=61, workers=WORKERS)
-        c = absorption_control(p, s)
+        c = [absorption_control(p, s), *jump_controls(p, s).values()]
         rows += [control_adjusted(to_app * s.nonapp_exposure, c),
                  control_adjusted(to_non * (s.app_exposure + s.nonapp_exposure), c)]
     m = est.matrix.mean
@@ -438,22 +466,58 @@ def test_r_combined_reference_values(table2_params):
 
 
 FIG5B_INTERIOR = Params(6 / 7, 1 / 7, 1 / 28, 0.9, 0.1, 1)
+CONTROL_CASES = {
+    "reference": (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1), 10**7),
+    "fig5b": (FIG5B_INTERIOR, 10**7),
+    "no-testing": (Params(0.15, 1 / 7, 0.0, 0.5, 0.5, 1), 10**7),  # delta = 0, subcritical
+    "capped": (Params(2.0, 1 / 7, 1e-3, 0.9, 0.5, 1), 64),  # most replicates capped
+}
 
 
-@pytest.mark.parametrize("params, cap", [
-    (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1), 10**7),  # reference point
-    (FIG5B_INTERIOR, 10**7),
-    (Params(0.15, 1 / 7, 0.0, 0.5, 0.5, 1), 10**7),  # delta = 0, subcritical
-    (Params(2.0, 1 / 7, 1e-3, 0.9, 0.5, 1), 64),  # most replicates capped
-], ids=["reference", "fig5b", "no-testing", "capped"])
-def test_absorption_control_has_mean_zero(params, cap):
+@functools.lru_cache(maxsize=None)
+def control_samples(case, root):
+    """20000 replicates of one control case and root type, simulated once
+    for every mean-zero test."""
+    params, cap = CONTROL_CASES[case]
+    return simulate_components(params, root, 20_000, seed=81, cap=cap, workers=WORKERS)
+
+
+@pytest.mark.parametrize("case", CONTROL_CASES)
+def test_absorption_control_has_mean_zero(case):
+    params, cap = CONTROL_CASES[case]
     assert component_dies_out(params)
     for root in RootType:
-        s = simulate_components(params, root, 20_000, seed=81, cap=cap, workers=WORKERS)
+        s = control_samples(case, root)
         c = absorption_control(params, s)
         if cap == 64:
             assert s.capped > 0.5 * c.size
         assert abs(c.mean()) <= 4 * c.std(ddof=1) / math.sqrt(c.size)
+
+
+@pytest.mark.parametrize("control", ["app-joins", "app-recoveries", "nonapp-joins",
+                                     "nonapp-recoveries"])
+@pytest.mark.parametrize("case", CONTROL_CASES)
+def test_jump_controls_have_mean_zero(case, control):
+    params, _ = CONTROL_CASES[case]
+    for root in RootType:
+        s = control_samples(case, root)
+        controls = jump_controls(params, s)
+        c = controls[control]
+        # the engine builds the same control from the same records
+        engine = dict(zip(controls, component._controls(params, s)[1:]))
+        assert np.array_equal(engine[control], c)
+        assert c.std() > 0.0
+        assert abs(c.mean()) <= 4 * c.std(ddof=1) / math.sqrt(c.size)
+
+
+def test_join_controls_vanish_without_their_joins():
+    # pi = 0 makes no app joins and p = 0 no non-app joins: those controls
+    # are exactly 0 on every replicate, and the fit must leave them out
+    for params, control in ((Params(0.8, 1 / 7, 1 / 7, 0.0, 2 / 3, 1), "app-joins"),
+                            (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 0.0, 1), "nonapp-joins")):
+        for root in RootType:
+            s = simulate_components(params, root, 3_000, seed=82)
+            assert np.all(jump_controls(params, s)[control] == 0.0)
 
 
 def _lattice_radius(params):
@@ -497,6 +561,57 @@ def test_plain_means_below_control_threshold(table2_params, monkeypatch):
     ]
     monkeypatch.setattr(component, "_CV_MIN_REPLICATES", math.inf)
     assert r_component_combined(table2_params, replicates, seed=92) == est
+
+
+@pytest.mark.parametrize("params, exact", [
+    (Params(0.8, 1 / 7, 1 / 7, 0.0, 2 / 3, 1), r_manual),
+    (Params(0.8, 1 / 7, 1 / 7, 1.0, 0.3, 1), r_component_digital),  # exactly 0
+    (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 0.0, 1), r_component_digital),
+    (Params(0.8, 1 / 7, 1 / 7, 0.5, 1.0, 1), lambda params: 0.0),
+    (Params(0.15, 1 / 7, 0.0, 0.5, 0.5, 1), _lattice_radius),
+], ids=["pi=0", "pi=1", "p=0", "p=1", "delta=0"])
+def test_controls_at_the_corners(params, exact):
+    # at the edges of the (pi, p) square some controls are identically 0
+    # and, with delta = 0, the four jump-count ones sum to 0: the fit must
+    # drop them rather than divide by a vanishing variance
+    est = r_component_combined(params, component._CV_MIN_REPLICATES, seed=93,
+                               workers=WORKERS)
+    m = est.matrix
+    numbers = (est.value, est.se, m.mean.m11, m.mean.m12, m.mean.m21, m.mean.m22,
+               *m.se, *m.row_cov)
+    assert all(math.isfinite(x) for x in numbers)
+    assert abs(est.value - exact(params)) <= 4 * est.se + 1e-12
+
+
+def test_interval_coverage_at_the_control_threshold():
+    # the fewest replicates that the controls adjust: 100 estimates at the
+    # reference point, where most replicates end by a diagnosis, so all
+    # five controls are fitted, against the lattice solve
+    params = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1)
+    replicates = component._CV_MIN_REPLICATES
+    for s in simulate_components(params, tuple(RootType), replicates, seed=0).by_root():
+        assert s.diagnosed.sum() >= component._JUMP_CV_MIN_DIAGNOSED
+    exact = _lattice_radius(params)
+    z = np.array([(est.value - exact) / est.se for est in (
+        r_component_combined(params, replicates, seed=seed) for seed in range(100))])
+    assert np.mean(np.abs(z) > 1.96) <= 0.10
+    assert 0.8 <= z.std(ddof=1) <= 1.2
+
+
+def test_jump_controls_wait_for_diagnosed_replicates(monkeypatch):
+    # at testing fraction 0.01 a 2000-replicate sample holds fewer than
+    # _JUMP_CV_MIN_DIAGNOSED diagnosed replicates per root type, so only
+    # the absorption control is fitted; at the reference point all five are
+    low = Params(6 / 7, 1 / 7, delta_for_testing_fraction(0.01, 1 / 7), 0.1, 0.1, 1)
+    reference = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1)
+    replicates = component._CV_MIN_REPLICATES
+    both = [r_component_combined(p, replicates, seed=94) for p in (low, reference)]
+    for s in simulate_components(low, tuple(RootType), replicates, seed=94).by_root():
+        assert 0 < s.diagnosed.sum() < component._JUMP_CV_MIN_DIAGNOSED
+    monkeypatch.setattr(component, "_JUMP_CV_MIN_DIAGNOSED", math.inf)
+    alone = [r_component_combined(p, replicates, seed=94) for p in (low, reference)]
+    assert both[0] == alone[0]
+    assert both[1].se < alone[1].se
 
 
 def test_r_combined_manual_only_matches_series(table2_params):

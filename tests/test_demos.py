@@ -44,7 +44,7 @@ def run_demo(name):
       "   0.6     |   0.779    |       0.716        |  0.667",
       "   0.9     |   0.597    |       0.480        |  0.333",
       "combined model at pi=0.5, testing fraction 0.5: R_DM crosses 1 at p = 0.738 "
-      "(95% CI [1.003, 1.005])"]),
+      "(95% CI [1.002, 1.004])"]),
 ])
 def test_demo_runs(name, headlines):
     out = run_demo(name)
