@@ -6,7 +6,8 @@ The package has five layers:
 * :mod:`epict.params`    -- validated model parameters and the baseline
   reproduction number ``beta / (gamma + delta)``.
 * :mod:`epict.digital`   -- closed-form branching-process quantities when
-  only app-based tracing operates, and the manual-only number ``r_manual``.
+  only app-based tracing operates, the manual-only number ``r_manual`` and
+  their independence product.
 * :mod:`epict.component` -- Monte Carlo estimation of the combined
   digital + manual model's offspring matrix and reproduction number.
 * :mod:`epict.epidemic`  -- finite-population event-driven simulation with
@@ -31,6 +32,7 @@ from .digital import (
     DivergentSeries,
     OffspringMatrix,
     expected_jumps,
+    independence_product,
     mean_component_size,
     mean_infections_per_jump,
     offspring_matrix_digital,

@@ -17,15 +17,16 @@ has size-independent step probabilities.  The mean number of jumps a cluster
 survives then follows in closed form from the jump count's generating
 function, and so does everything derived from it: every quantity here is
 exact.  Manual tracing alone (``pi = 0``) drives the same walk with the app
-fraction replaced by the manual trace probability ``p`` (:func:`r_manual`).
+fraction replaced by the manual trace probability ``p`` (:func:`r_manual`),
+so the independence product R_M R_D / R0 is exact too.
 
 Each formula is written once, in NumPy ufuncs, and runs either on one
 point or elementwise over many.  Given a :class:`Params`, a function returns
 a float and raises :class:`DivergentSeries` where the mean is infinite;
-:func:`r_component_digital`, :func:`r_individual_digital` and
-:func:`r_manual` also take a :class:`ParamArrays` (a sweep grid) and return
-an array holding +inf at the divergent cells.  Both run the same float
-operations, so a cell equals the scalar call at its parameters bit for bit.
+the reproduction numbers and :func:`independence_product` also take a
+:class:`ParamArrays` (a sweep grid) and return an array holding +inf at the
+divergent cells.  Both run the same float operations, so a cell equals the
+scalar call at its parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -81,18 +82,18 @@ def _where(cond, x, y):
     return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
 
-def _closed_form(kernel, params: Params | ParamArrays, manual: bool = False):
+def _closed_form(kernel, params: Params | ParamArrays, fractions: tuple = ("pi",)):
     """``kernel`` evaluated at one point or elementwise over many.
 
-    A kernel takes (beta, gamma, delta, pi), with p in place of pi for a
-    ``manual`` quantity, and returns +inf where its quantity diverges.  It
-    runs on float64 scalars or arrays under the same ufuncs, so a grid cell
-    and a scalar call at its parameters agree bit for bit.  Terms of a
-    branch not taken may divide by zero, which is silenced.  A
+    A kernel takes (beta, gamma, delta) and the named ``fractions`` (pi, p
+    for a manual quantity, or both) and returns +inf where its quantity
+    diverges.  It runs on float64 scalars or arrays under the same ufuncs,
+    so a grid cell and a scalar call at its parameters agree bit for bit.
+    Terms of a branch not taken may divide by zero, which is silenced.  A
     :class:`ParamArrays` gives an array; a :class:`Params` gives a float,
     and DivergentSeries instead of +inf.
     """
-    fields = (params.beta, params.gamma, params.delta, params.p if manual else params.pi)
+    fields = (params.beta, params.gamma, params.delta, *(getattr(params, f) for f in fractions))
     with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(params, ParamArrays):
             return kernel(*fields)
@@ -194,7 +195,7 @@ def r_manual(params: Params | ParamArrays) -> float | np.ndarray:
     Raises:
         DivergentSeries: if delta = 0 and beta*p >= gamma.
     """
-    return _closed_form(_m12, params, manual=True)
+    return _closed_form(_m12, params, ("p",))
 
 
 def _spectral_radius(m11, m12, m21, m22):
@@ -222,6 +223,26 @@ def r_component_digital(params: Params | ParamArrays) -> float | np.ndarray:
     :class:`ParamArrays`, +inf where it diverges.
     """
     return _closed_form(_r_component, params)
+
+
+def _product(beta, gamma, delta, pi, p):
+    r_m = _m12(beta, gamma, delta, p)
+    r_d = _r_component(beta, gamma, delta, pi)
+    value = _where(beta == 0.0, 0.0, r_m * r_d / (beta / (gamma + delta)))
+    value = _where(pi == 0.0, r_m, value)
+    value = _where(p == 0.0, r_d, value)
+    return _where((r_m == math.inf) | (r_d == math.inf), math.inf, value)
+
+
+def independence_product(params: Params | ParamArrays) -> float | np.ndarray:
+    """R0 (1 - r_M)(1 - r_D) = R_M R_D / R0, the reproduction number if
+    manual and app tracing acted independently (R_X = (1 - r_X) R0).
+
+    p = 0 gives :func:`r_component_digital` and pi = 0 :func:`r_manual` bit
+    for bit, p = 1 or pi = 1 gives 0, and it diverges where either factor
+    does.  Elementwise over :class:`ParamArrays`, +inf where it diverges.
+    """
+    return _closed_form(_product, params, ("pi", "p"))
 
 
 def _size(beta, gamma, delta, pi, jumps=None):

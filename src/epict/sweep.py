@@ -2,8 +2,8 @@
 
 A sweep evaluates one of five reproduction-number targets over parameter
 axes.  Every evaluation is a value with a standard error: 0 for the
-closed-form digital and manual-only numbers, its own for the Monte Carlo
-combined model and independence product.  One bisection serves both.  It
+closed-form digital and manual-only numbers and their independence product,
+its own for the Monte Carlo combined model.  One bisection serves both.  It
 takes a side only when value +- ``DECISION_Z`` (3) standard errors clears 1
 by more than the residual tolerance, so a closed-form target is solved to
 that tolerance, while a Monte Carlo target escalates the replicate count
@@ -28,8 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import float_key, mix64
+# naive_combined_r is not called here (the product is evaluated through
+# _closed_form_target), but the benchmark's tracer patches this name
 from .component import naive_combined_r, r_component_combined
-from .digital import DivergentSeries, r_component_digital, r_individual_digital, r_manual
+from .digital import (
+    DivergentSeries, independence_product, r_component_digital, r_individual_digital,
+    r_manual,
+)
 from .params import (
     AXIS_NAMES, ParamArrays, Params, _is_whole, _number, param_grid, params_from_dict,
     with_param,
@@ -44,7 +49,7 @@ class Target(enum.Enum):
     NAIVE_PRODUCT = "NaiveProduct"
 
 
-MC_TARGETS = (Target.R_DM, Target.NAIVE_PRODUCT)
+MC_TARGETS = (Target.R_DM,)
 MAX_ESCALATIONS = 2  # replicate count grows 4x per escalation
 DECISION_Z = 3.0     # half-width, in standard errors, of the interval that picks a side
 REPORT_Z = 1.96      # half-width, in standard errors, of every reported interval (95%)
@@ -188,8 +193,7 @@ def evaluate_target(
             if mc is None:
                 raise ValueError(f"target {target.value} needs mc settings")
             reps = replicates if replicates is not None else mc.replicates
-            estimate = r_component_combined if target is Target.R_DM else naive_combined_r
-            est = estimate(params, reps, seed=eval_seed, workers=mc.workers)
+            est = r_component_combined(params, reps, seed=eval_seed, workers=mc.workers)
             return TargetEval(est.value, est.se)
         return TargetEval(_closed_form_target(target, params))
     except DivergentSeries:
@@ -202,6 +206,8 @@ def _closed_form_target(target: Target, params: Params | ParamArrays):
         return r_component_digital(params)
     if target is Target.R_IND_D:
         return r_individual_digital(params)
+    if target is Target.NAIVE_PRODUCT:
+        return independence_product(params)
     return r_manual(params)
 
 
@@ -520,11 +526,12 @@ def builtin_datasets(
     fig3b: the same curves with the digital abscissa squared.
     fig4:  component vs individual digital reproduction numbers along pi.
     fig5a: combined-model heatmap over (p, pi) at testing fraction 1/2, with
-           the R_DM = 1 curve and the independence-product = 1 curve.
+           the R_DM = 1 curve and the (closed-form) independence-product = 1
+           curve.
     fig5b: combined-model heatmap and R_DM = 1 curve at testing fraction 1/5.
 
-    fig3a, fig3b and fig4 are closed form; only fig5a and fig5b read the
-    seed, the replicate count and the workers.
+    fig3a, fig3b and fig4 are closed form; only fig5a's and fig5b's R_DM
+    datasets read the seed, the replicate count and the workers.
     """
     mc = MCSettings(replicates, seed, workers)
     if name == "fig3a":
@@ -598,6 +605,6 @@ def _fig5_datasets(
         SweepDataset("rdm_curve", CURVE_HEADER, curve_rows(rdm)),
     ]
     if naive:
-        white = critical_curve(SweepSpec(Target.NAIVE_PRODUCT, base, axis, solve=solve), mc)
+        white = critical_curve(SweepSpec(Target.NAIVE_PRODUCT, base, axis, solve=solve))
         out.append(SweepDataset("naive_curve", CURVE_HEADER, curve_rows(white)))
     return out

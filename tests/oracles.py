@@ -3,6 +3,10 @@
 ``tail_prob_jumps`` is the jump-count tail of an app-user cluster as a
 Catalan-weighted sum; ``digital.expected_jumps`` must equal one plus its sum.
 
+``manual_r_by_series`` is the manual-only reproduction number reached
+through the app cluster's offspring matrix with the app fraction set to the
+manual trace probability, not through ``digital.r_manual``.
+
 ``run_epidemic_tree`` is the outbreak simulator on an explicit transmission
 tree.  It draws exactly what ``epict.run_epidemic``'s event loop draws, in
 the same order, but records every infection in :class:`EpidemicRecords` and
@@ -24,7 +28,10 @@ import random
 
 import numpy as np
 
-from epict import DIAGNOSED, INFECTIOUS, RECOVERED, EpidemicOutcome, EpidemicRecords, Params
+from epict import (
+    DIAGNOSED, INFECTIOUS, RECOVERED, EpidemicOutcome, EpidemicRecords, Params,
+    offspring_matrix_digital,
+)
 from epict._util import mix64, stream_uniforms
 from epict.epidemic import _HOLD_TAG, trace_closure
 
@@ -57,6 +64,17 @@ def tail_prob_jumps(k: int, params: Params) -> float:
         )
     alive = max(0.0, 1.0 - absorbed)
     return alive * survive**k
+
+
+def manual_r_by_series(beta, gamma, delta, p) -> float:
+    """Independent value for the manual-only reproduction number.
+
+    A manual cluster grows per member at beta*p, recovers at gamma, is killed
+    at delta and exports untraced infections at beta*(1-p) per member: the
+    identical jump process as an app cluster with app fraction p, whose
+    exported-infection mean is the closed-form m12.
+    """
+    return offspring_matrix_digital(Params(beta, gamma, delta, p, 0.0, 1)).m12
 
 
 def untraced_law(params: Params, kill: bool = False) -> tuple[list[float], float]:

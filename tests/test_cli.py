@@ -78,6 +78,26 @@ def test_component_mc_analytic_cross_check(capsys, tmp_path):
     assert checks is not None
     assert all(c["pass"] for c in checks.values())
     assert "analytic cross-check overall: pass" in text
+    # at p = 0 the independence product is R_D itself
+    naive = report["naive_product"]
+    assert naive["value"] == naive["r_digital"]
+
+
+def test_component_mc_independence_product_is_exact(capsys, tmp_path):
+    # one JSON shape for the product wherever it is reported: its value and
+    # both factors, with no standard error or interval
+    out = tmp_path / "mc.json"
+    code, text, _ = run_cli(
+        capsys, "component-mc", "--replicates", "2000", "--threads", "1",
+        "--out", str(out), "--format", "json",
+    )
+    assert code == 0
+    naive = json.loads(out.read_text())["naive_product"]
+    assert set(naive) == {"value", "r_digital", "r_manual"}
+    assert naive["value"] == pytest.approx(
+        naive["r_manual"] * naive["r_digital"] / 2.8, rel=1e-12)
+    assert naive["r_manual"] == pytest.approx(1.4921587, abs=1e-7)
+    assert "independence product = 1.1722 (exact)\n" in text
 
 
 def test_epidemic_outputs_and_determinism(capsys, tmp_path):
@@ -228,6 +248,10 @@ def test_table2_small_run_structure_and_determinism(capsys, tmp_path):
     flags = {r["r_flag"] for r in report["rows"]}
     assert flags <= {"pass", "fail", "inconclusive"}
     assert len(text.splitlines()) >= 6
+    naive = report["naive_product"]
+    assert set(naive) == {"value", "r_digital", "r_manual", "ref", "flag"}
+    assert naive["flag"] == "pass"
+    assert "independence product = 1.1722 (exact) vs ref 1.17 -> pass" in text
 
 
 def test_table2_strict_exit_code(capsys):

@@ -27,6 +27,7 @@ from epict import (
     component_growth_bound,
     delta_for_testing_fraction,
     estimate_offspring_matrix,
+    independence_product,
     naive_combined_r,
     offspring_matrix_digital,
     r0,
@@ -39,17 +40,7 @@ from epict import component
 from epict.component import _BLOCK, _CHUNK
 
 from conftest import WORKERS
-
-
-def manual_r_by_series(beta, gamma, delta, p) -> float:
-    """Independent value for the manual-only reproduction number.
-
-    A manual cluster grows per member at beta*p, recovers at gamma, is killed
-    at delta and exports untraced infections at beta*(1-p) per member: the
-    identical jump process as an app cluster with app fraction p, whose
-    exported-infection mean is the closed-form m12.
-    """
-    return offspring_matrix_digital(Params(beta, gamma, delta, p, 0.0, 1)).m12
+from oracles import manual_r_by_series, tail_prob_jumps
 
 
 _MASK = (1 << 64) - 1
@@ -637,30 +628,43 @@ def test_r_combined_certain_tracing_is_zero():
 
 
 def test_naive_product_reference_value(table2_params):
-    est = naive_combined_r(table2_params, 150_000, seed=65, workers=WORKERS)
+    # R_M by the app-cluster series with the app fraction set to p, and by
+    # the Catalan tail sum of the same jump count, times the closed-form R_D
+    p = table2_params
+    r_d = r_component_digital(p)
+    series = manual_r_by_series(p.beta, p.gamma, p.delta, p.p) * r_d / r0(p)
+    manual = dataclasses.replace(p, pi=p.p)
+    jumps = 1.0 + sum(tail_prob_jumps(k, manual) for k in range(1, 400))
+    catalan = p.beta * (1 - p.p) / (p.beta * p.p + p.gamma + p.delta) * jumps * r_d / r0(p)
+    est = naive_combined_r(p)
+    assert est.value == pytest.approx(series, rel=1e-12)
+    assert est.value == pytest.approx(catalan, rel=1e-10)
     assert est.value == pytest.approx(1.17, abs=0.02)
-    assert est.r_digital == pytest.approx(2.20, abs=0.005)
+    assert est.value == independence_product(p)
+    assert est.se == 0.0 and est.ci_low == est.ci_high == est.value
+    assert est.r_digital == r_d and est.r_manual.value == r_manual(p)
+    assert est.r_manual.se == 0.0
+    # the parameters the benchmark still passes change nothing
+    assert naive_combined_r(p, 50_000, seed=3, workers=WORKERS) == est
 
 
 def test_naive_product_no_manual_reduction_is_exactly_digital(table2_params):
     p = dataclasses.replace(table2_params, p=0.0)
-    est = naive_combined_r(p, 1_000, seed=66)
+    est = naive_combined_r(p)
     assert est.value == r_component_digital(p)
-    assert est.se == 0.0 and est.r_manual is None
+    assert est.se == 0.0 and est.r_manual.value == r_manual(p) == r0(p)
 
 
 def test_naive_product_no_digital_reduction_is_manual(table2_params):
     p = dataclasses.replace(table2_params, pi=0.0)
-    est = naive_combined_r(p, 60_000, seed=67, workers=WORKERS)
-    assert est.r_manual is not None
-    assert est.value == est.r_manual.value and est.se == est.r_manual.se > 0.0
-    assert est.ci_low == pytest.approx(est.value - 1.96 * est.se, rel=1e-12)
-    assert est.ci_high == pytest.approx(est.value + 1.96 * est.se, rel=1e-12)
+    est = naive_combined_r(p)
+    assert est.value == r_manual(p) == est.r_manual.value
+    assert est.se == 0.0 and est.ci_low == est.ci_high == est.value
 
 
 def test_combined_beats_independence_product(table2_params):
     combined = r_component_combined(table2_params, 120_000, seed=68, workers=WORKERS)
-    naive = naive_combined_r(table2_params, 120_000, seed=69, workers=WORKERS)
+    naive = naive_combined_r(table2_params)
     assert combined.ci_high < naive.ci_low
 
 

@@ -29,7 +29,8 @@ def run_demo(name):
      ["baseline (no tracing):  R_0 = 2.8", "cluster-level  R_D = 2.1996",
       "individual     R_D = 1.6823"]),
     ("02_combined_tracing_monte_carlo.py",
-     ["combined R_DM = 0.9", "independence guess R_0(1-r_M)(1-r_D) = 1.1",
+     ["combined R_DM = 0.9",
+      "independence guess R_0(1-r_M)(1-r_D) = 1.1722 (exact: R_M = 1.4922, R_D = 2.1996)",
       "combined tracing is subcritical even though the independence product "
       "predicts supercritical"]),
     # every outbreak outcome, end to end through a two-worker ensemble

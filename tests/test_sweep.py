@@ -9,6 +9,7 @@ import pytest
 
 from epict import (
     AxisSpec,
+    DivergentSeries,
     InvalidParams,
     MCSettings,
     NonMonotoneTarget,
@@ -17,6 +18,7 @@ from epict import (
     SolveSpec,
     SweepSpec,
     Target,
+    component_dies_out,
     critical_curve,
     delta_for_testing_fraction,
     evaluate_target,
@@ -24,6 +26,7 @@ from epict import (
     heatmap_grid,
     naive_combined_r,
     profile,
+    r0,
     r_component_combined,
     r_component_digital,
     r_individual_digital,
@@ -32,11 +35,12 @@ from epict import (
     with_param,
 )
 from epict.sweep import (
-    MAX_ESCALATIONS, _point_seed, builtin_datasets, cell_seed, curve_rows, heatmap_rows,
-    spec_dataset,
+    MAX_ESCALATIONS, TargetEval, _point_seed, builtin_datasets, cell_seed, curve_rows,
+    heatmap_rows, spec_dataset,
 )
 
 from conftest import WORKERS
+from oracles import manual_r_by_series
 
 FIG = Params(beta=6 / 7, gamma=1 / 7, delta=1 / 7, pi=0.0, p=0.0, n=1)
 FMAX = 5 / 6
@@ -242,13 +246,12 @@ def test_reported_intervals_are_95_percent_of_the_estimate_there():
     x = point.critical_value
     est = ladder_estimate(with_param(fixed, "p", x), mc, 0.5, x)
     assert_95(point.ci_low, point.ci_high, est)
-    # profile rows of the independence product, pi = 0 included
+    # profile rows of the independence product, pi = 0 included: exact, so
+    # a zero-width interval at the value
     spec = SweepSpec(Target.NAIVE_PRODUCT, with_param(FIG, "p", 0.5), AxisSpec("pi", 0.0, 0.5, 2))
     for pi, value, low, high, status in spec_dataset(spec, mc).rows:
-        est = naive_combined_r(with_param(spec.fixed, "pi", pi), mc.replicates,
-                               seed=cell_seed(mc.seed, pi, 0.0))
-        assert value == est.value and status == "ok"
-        assert_95(low, high, est)
+        est = naive_combined_r(with_param(spec.fixed, "pi", pi))
+        assert value == low == high == est.value and status == "ok"
 
 
 def test_critical_curve_markers():
@@ -354,6 +357,11 @@ FIG3A_GRID = SweepSpec(
     second_axis=AxisSpec("pi", 0.0, 1.0, 51),
 )
 RM_GRID = replace(FIG3A_GRID, target=Target.R_M, second_axis=AxisSpec("p", 0.0, 1.0, 51))
+# the product along p (0 and 1 included) at testing fractions 0 (delta = 0), 1/4 and 1/2
+NAIVE_GRID = SweepSpec(
+    Target.NAIVE_PRODUCT, FIG, AxisSpec("testing_fraction", 0.0, 0.5, 3),
+    second_axis=AxisSpec("p", 0.0, 1.0, 21),
+)
 
 
 @pytest.mark.parametrize("spec", [
@@ -374,8 +382,9 @@ RM_GRID = replace(FIG3A_GRID, target=Target.R_M, second_axis=AxisSpec("p", 0.0, 
     SweepSpec(Target.R_M, FIG, AxisSpec("testing_fraction", 0.0, 0.5, 4),
               second_axis=AxisSpec("pi", 0.0, 1.0, 5)),
     SweepSpec(Target.R_D, FIG, AxisSpec("pi", 0.0, 1.0, 6), second_axis=AxisSpec("n", 1.0, 9.0, 5)),
+    replace(NAIVE_GRID, fixed=with_param(FIG, "pi", 0.3)),
 ], ids=["fig3a-R_D", "R_ind_D", "R_M", "gamma-x-testing", "testing-x-gamma", "dense",
-        "R_D-pi-x-p", "R_M-testing-x-pi", "R_D-pi-x-n"])
+        "R_D-pi-x-p", "R_M-testing-x-pi", "R_D-pi-x-n", "naive-delta-0"])
 def test_closed_form_heatmap_equals_scalar_cells_bit_for_bit(spec):
     grid = heatmap_grid(spec)
     assert bits(grid.cells) == bits(cell_by_cell(spec))
@@ -402,6 +411,66 @@ def test_closed_form_heatmap_divergent_and_full_coverage_cells():
         assert all(ev.status == "ok" for row in cells[1:] for ev in row), name
         if name != "R_ind_D":
             assert [row[-1].value for row in cells] == [0.0] * 43
+
+
+def test_naive_product_heatmap_equals_the_exact_product_cell_by_cell():
+    spec = SweepSpec(Target.NAIVE_PRODUCT, with_param(FIG, "testing_fraction", 0.5),
+                     AxisSpec("p", 0.0, 1.0, 11), second_axis=AxisSpec("pi", 0.0, 1.0, 11))
+    grid = heatmap_grid(spec)
+    for x1, row in zip(spec.free_axis.values(), grid.cells):
+        for x2, ev in zip(spec.second_axis.values(), row):
+            est = naive_combined_r(with_param(with_param(spec.fixed, "p", x1), "pi", x2))
+            assert ev == TargetEval(est.value) and ev.value.hex() == est.value.hex()
+    # the corners: p = 0 is R_D, pi = 0 is R_M, p = 1 or pi = 1 is 0
+    assert [ev.value for ev in grid.cells[0]] == [
+        r_component_digital(with_param(spec.fixed, "pi", x)) for x in spec.second_axis.values()]
+    assert [row[0].value for row in grid.cells] == [
+        r_manual(with_param(spec.fixed, "p", x)) for x in spec.free_axis.values()]
+    assert [ev.value for ev in grid.cells[-1]] == [0.0] * 11
+    assert [row[-1].value for row in grid.cells] == [0.0] * 11
+
+
+@pytest.mark.parametrize("pi", [0.0, 0.1, 0.3, 1.0])
+def test_naive_product_divergent_where_the_monte_carlo_route_was(pi):
+    # the Monte Carlo route failed where R_D diverged (delta = 0, beta*pi >=
+    # gamma) and, for p > 0, where its pi = 0 component does not die out.
+    # One column differs: at p = 1 a manual component exports nothing, so
+    # R_M is exactly 0 (as r_manual has it) even where the component grows
+    # forever, which the Monte Carlo factor refused to simulate
+    cells = heatmap_grid(replace(NAIVE_GRID, fixed=with_param(FIG, "pi", pi))).cells
+    for x1, row in zip(NAIVE_GRID.free_axis.values(), cells):
+        for p, ev in zip(NAIVE_GRID.second_axis.values(), row):
+            params = with_param(with_param(with_param(FIG, "pi", pi), "p", p),
+                                "testing_fraction", x1)
+            r_d_diverges = evaluate_target(Target.R_D, params).status == "divergent"
+            failed = r_d_diverges or 0 < p < 1 and not component_dies_out(
+                with_param(params, "pi", 0.0))
+            assert (ev.status == "divergent") == failed, (x1, p)
+            assert math.isinf(ev.value) == failed
+            if failed:
+                with pytest.raises(DivergentSeries):
+                    naive_combined_r(params)
+            elif p == 1.0:
+                assert ev.value == 0.0
+    # at delta = 0 the manual factor diverges from beta*p >= gamma (p >= 1/6)
+    # up to p = 1, and the digital one at every p once beta*pi >= gamma
+    want = ["divergent"] * 21 if pi == 0.3 else ["ok"] * 4 + ["divergent"] * 16 + ["ok"]
+    assert [ev.status for ev in cells[0]] == want
+
+
+def test_fig5a_naive_curve_is_exact_against_the_series_product():
+    # CLI-size curve; the Monte Carlo datasets of fig5a are shrunk to keep it quick
+    data = {ds.suffix: ds for ds in builtin_datasets(
+        "fig5a", seed=1, replicates=50, workers=WORKERS, grid_points=3)}
+    rows = data["naive_curve"].rows
+    assert [row[0] for row in rows] == AxisSpec("pi", 0.1, 0.9, 9).values()
+    base = with_param(FIG, "testing_fraction", 0.5)
+    for pi, p, residual, low, high, status in rows:
+        assert status == "ok" and residual <= 1e-9 and low == high
+        params = with_param(with_param(base, "pi", pi), "p", p)
+        product = (manual_r_by_series(params.beta, params.gamma, params.delta, p)
+                   * r_component_digital(params) / r0(params))
+        assert abs(product - 1.0) <= 1e-8
 
 
 def refusal(make):
@@ -437,10 +506,14 @@ def test_closed_form_profile_refuses_invalid_points_as_before():
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.5])
-@pytest.mark.parametrize("target", [Target.R_D, Target.R_IND_D, Target.R_M])
+@pytest.mark.parametrize("target", [Target.R_D, Target.R_IND_D, Target.R_M,
+                                    Target.NAIVE_PRODUCT])
 def test_closed_form_profile_equals_scalar_points_bit_for_bit(target, fraction):
-    spec = SweepSpec(target, with_param(FIG, "testing_fraction", fraction),
-                     AxisSpec("p" if target is Target.R_M else "pi", 0.0, 1.0, 101))
+    # the independence product runs along p at pi = 0.3
+    fixed = with_param(FIG, "pi", 0.3) if target is Target.NAIVE_PRODUCT else FIG
+    spec = SweepSpec(target, with_param(fixed, "testing_fraction", fraction),
+                     AxisSpec("pi" if target in (Target.R_D, Target.R_IND_D) else "p",
+                              0.0, 1.0, 101))
     want = [(x, evaluate_target(target, with_param(spec.fixed, spec.free_axis.name, x)))
             for x in spec.free_axis.values()]
     got = profile(spec)
