@@ -1,6 +1,6 @@
 """Shared plumbing: deterministic seed derivation, counter-based uniform
-streams, small statistics helpers, and an order-preserving map over one
-process pool per process.
+streams, the one estimate type and its 95% interval, and an
+order-preserving map over one process pool per process.
 
 All Monte Carlo code in this package derives its randomness from a single
 64-bit master seed through :func:`mix64`, so results are reproducible and
@@ -10,8 +10,10 @@ independent of how work is split across worker processes.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +22,7 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _UNIT = 2.0**-53  # a draw's top 53 bits times this is uniform on [0, 1)
+REPORT_Z = 1.96  # half-width, in standard errors, of every reported interval (95%)
 
 
 def mix64(*parts: int) -> int:
@@ -60,7 +63,30 @@ def float_key(x: float) -> int:
     return struct.unpack(">Q", struct.pack(">d", float(x)))[0]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+@dataclass(frozen=True)
+class Estimate:
+    """A number with its standard error: 0 for a closed form, its own for a
+    Monte Carlo estimate."""
+
+    value: float
+    se: float = 0.0
+
+    def interval(self, z: float = REPORT_Z) -> tuple[float, float]:
+        """value +- z standard errors; zero width keeps the value's own float."""
+        if not self.se:
+            return self.value, self.value
+        return self.value - z * self.se, self.value + z * self.se
+
+    @property
+    def ci_low(self) -> float:
+        return self.interval()[0]
+
+    @property
+    def ci_high(self) -> float:
+        return self.interval()[1]
+
+
+def wilson_interval(successes: int, trials: int, z: float = REPORT_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return (0.0, 1.0)
@@ -80,6 +106,21 @@ def chunk_ranges(total: int, size: int) -> list[tuple[int, int]]:
     return [(start, min(size, total - start)) for start in range(0, total, size)]
 
 
+def usable_workers(requested: float = math.inf) -> int:
+    """``requested`` worker processes (all by default), at most the CPUs this
+    process may run on (its affinity mask where the system has one) and at
+    least 1.
+
+    A process pool starts all its workers at once, so an unclamped count
+    would fork that many processes; results never depend on the count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus))
+
+
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 
@@ -87,11 +128,13 @@ _pool_workers = 0
 def map_ordered(fn, arg_list, workers: int):
     """Map ``fn`` over ``arg_list`` preserving order, optionally in processes.
 
-    The process pool is started by the first call that needs one and kept
-    for the calls after it; it is replaced when the worker count changes or
-    a worker died, and shut down when the interpreter exits.
+    ``workers`` is clamped by :func:`usable_workers`.  The process pool is
+    started by the first call that needs one and kept for the calls after
+    it; it is replaced when the worker count changes or a worker died, and
+    shut down when the interpreter exits.
     """
     global _pool, _pool_workers
+    workers = usable_workers(workers)
     if workers <= 1 or len(arg_list) <= 1:
         return [fn(a) for a in arg_list]
     if _pool is None or _pool_workers != workers or _pool._broken:

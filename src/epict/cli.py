@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import __version__
+from ._util import Estimate, usable_workers
 from .component import naive_combined_r, r_component_combined
 from .digital import (
     DivergentSeries,
@@ -44,7 +45,8 @@ from .params import (
     PARAM_KEYS,
     InvalidParams,
     Params,
-    _is_whole,
+    _keys,
+    _whole,
     params_from_dict,
     params_to_dict,
     r0,
@@ -78,16 +80,11 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int, never silently truncated (JSON true is not 1)."""
-    if not _is_whole(value):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _threads(name: str, value) -> int:
+    """A worker count; ``auto`` is every usable CPU, and any larger count is
+    clamped to that where the work is mapped."""
     if value == "auto":
-        return os.cpu_count() or 1
+        return usable_workers()
     k = int(value) if isinstance(value, str) else _whole(name, value)
     if k < 1:
         raise ValueError(f"{name} must be >= 1 or 'auto'")
@@ -162,12 +159,8 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(k for k in obj if k not in OPTIONS or not OPTIONS[k].in_file)
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    return obj
+    in_file = tuple(name for name, option in OPTIONS.items() if option.in_file)
+    return _keys(obj, "config file", (), in_file, key="config")
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -400,30 +393,25 @@ def cmd_table2(opts: argparse.Namespace) -> int:
         label = case["label"]
         _log(f"[table2] case {label}: p={case['p']:.3f} pi={case['pi']:.3f}")
         if label in ("R_0", "R_D", "R_M"):
-            r_value = {"R_0": r0, "R_D": r_component_digital, "R_M": r_manual}[label](p)
-            r_ci = (r_value, r_value)
+            r = Estimate({"R_0": r0, "R_D": r_component_digital, "R_M": r_manual}[label](p))
             r_tol = 0.005
         else:
-            est = r_component_combined(p, opts.replicates, seed=opts.seed + i,
-                                       workers=opts.threads)
-            r_value, r_ci = est.value, (est.ci_low, est.ci_high)
+            r = r_component_combined(p, opts.replicates, seed=opts.seed + i,
+                                     workers=opts.threads)
             r_tol = 0.02
         summary = run_ensemble(p, runs, opts.seed + 100 + i, workers=opts.threads)
         if summary.major_count > 1:
-            size_ci = (
-                summary.mean_major_size - 1.96 * summary.major_size_se,
-                summary.mean_major_size + 1.96 * summary.major_size_se,
-            )
-            size_flag = _flag(summary.mean_major_size, case["size_ref"], tol_size, size_ci)
+            size = Estimate(summary.mean_major_size, summary.major_size_se)
+            size_flag = _flag(size.value, case["size_ref"], tol_size, size.interval())
         else:
             size_flag = "inconclusive"  # below two major outbreaks the size has no interval
         row = {
             "p": case["p"],
             "pi": case["pi"],
             "label": label,
-            "r_value": r_value,
+            "r_value": r.value,
             "r_ref": case["r_ref"],
-            "r_flag": _flag(r_value, case["r_ref"], r_tol, r_ci),
+            "r_flag": _flag(r.value, case["r_ref"], r_tol, r.interval()),
             "major_fraction": summary.major_fraction,
             "major_ref": case["major_ref"],
             "major_flag": _flag(
@@ -437,7 +425,7 @@ def cmd_table2(opts: argparse.Namespace) -> int:
         rows.append(row)
         flags.extend([row["r_flag"], row["major_flag"], row["size_flag"]])
     naive = naive_combined_r(Params(base.beta, base.gamma, base.delta, 2 / 3, 2 / 3, base.n))
-    naive_flag = _flag(naive.value, TABLE2_NAIVE_REF, 0.02, (naive.value, naive.value))
+    naive_flag = _flag(naive.value, TABLE2_NAIVE_REF, 0.02, naive.interval())
     flags.append(naive_flag)
     report = {
         "runs": runs,

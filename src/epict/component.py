@@ -65,11 +65,12 @@ Replicates run in lockstep: a block of them advances one jump per step in
 NumPy arrays, and those that die or reach the event cap leave the live set.
 Once fewer than a handful are left, a scalar loop finishes each one with the
 same float expressions, because per-step array overhead would otherwise
-dominate small estimates.  An estimate simulates both root types in one
-pass: their replicates share blocks, each starting from (1, 0) or (0, 1)
-under the same rates, so a small estimate pays that overhead once rather
-than once per root type.  A task of the process pool holds at most
-``_CHUNK`` replicates of each root type.  Replicate ``i``'s draws are the
+dominate small estimates.  Every simulation runs both root types in one
+pass, since both rows of the matrix come from the same component law: their
+replicates share blocks, each starting from (1, 0) or (0, 1) under the same
+rates, so a small estimate pays that overhead once rather than once per
+root type.  A task of the process pool holds at most ``_CHUNK`` replicates
+of each root type.  Replicate ``i``'s draws are the
 splitmix64 sequence seeded with a key hashed from (seed, root type, i),
 draw ``j`` being the hash of the key plus ``j+1`` golden-ratio increments
 (a counter-based stream, computed in wrapping uint64).  Every replicate can
@@ -81,12 +82,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import (
-    _GOLDEN, _MASK64, _MIX1, _MIX2, _UNIT, chunk_ranges, map_ordered, mix64, mix64_array,
+    _GOLDEN, _MASK64, _MIX1, _MIX2, _UNIT, Estimate, chunk_ranges, map_ordered, mix64,
+    mix64_array,
 )
 from .digital import (
     DivergentSeries,
@@ -114,6 +116,10 @@ class RootType(enum.Enum):
 
     APP = 1
     NON_APP = 2
+
+
+# k at the root of each row of the records: 1 for an app-user, 0 otherwise
+_ROOT_K = np.array([[int(root is RootType.APP)] for root in RootType])
 
 
 class EventCapExceeded(RuntimeError):
@@ -149,17 +155,16 @@ def component_dies_out(params: Params) -> bool:
 
 @dataclass
 class ComponentSamples:
-    """Per-replicate records in replicate-index order.
+    """Per-replicate records of both root types: each array has one row per
+    root type, in the order of ``tuple(RootType)``, and one column per
+    replicate index.
 
-    ``root`` is one root type, or a tuple of them; then each array has one
-    row per root type, in that order.  The three exposures are the
-    conditional-mean occupation integrals of k, l and 1{k+l = 1};
-    ``k_stop`` and ``l_stop`` are the state at which the replicate stopped:
-    the state a diagnosis removed, (0, 0) after the last recovery, or the
-    live state at the event cap; ``hit_cap`` marks the replicates stopped
-    at the event cap."""
+    The three exposures are the conditional-mean occupation integrals of k,
+    l and 1{k+l = 1}; ``k_stop`` and ``l_stop`` are the state at which the
+    replicate stopped: the state a diagnosis removed, (0, 0) after the last
+    recovery, or the live state at the event cap; ``hit_cap`` marks the
+    replicates stopped at the event cap."""
 
-    root: RootType | tuple[RootType, ...]
     jumps: np.ndarray
     app_exposure: np.ndarray
     nonapp_exposure: np.ndarray
@@ -180,14 +185,6 @@ class ComponentSamples:
         return ~self.hit_cap & (self.k_stop + self.l_stop > 0)
 
     @property
-    def _root_k(self) -> np.ndarray | int:
-        """k at the root: 1 for an app-user root and 0 otherwise (one per
-        row for a tuple of root types)."""
-        if isinstance(self.root, tuple):
-            return np.array([[int(r is RootType.APP)] for r in self.root])
-        return int(self.root is RootType.APP)
-
-    @property
     def nonapp_joins(self) -> np.ndarray:
         """Non-app-users each replicate added, from the conservation of its
         jumps.  Every jump is an app join (``ever_infected_app`` minus the
@@ -195,15 +192,9 @@ class ComponentSamples:
         the diagnosis that ended it, and the recoveries are what the joins
         and the root added minus the state at the stop, so jumps =
         2*app joins + 2*non-app joins + 1 - k_stop - l_stop + diagnosed."""
-        twice = (self.jumps - 2 * (self.ever_infected_app - self._root_k) - 1
+        twice = (self.jumps - 2 * (self.ever_infected_app - _ROOT_K) - 1
                  + self.k_stop + self.l_stop - self.diagnosed)
         return twice // 2
-
-    def by_root(self) -> tuple[ComponentSamples, ...]:
-        """The records of a tuple of root types, one single-root set each."""
-        rows = [getattr(self, f.name) for f in fields(self)[1:]]
-        return tuple(ComponentSamples(root, *(a[i] for a in rows))
-                     for i, root in enumerate(self.root))
 
 
 def _finish(key, ae, ne, s1, ev, k, l, jumps, cap, rates):
@@ -308,8 +299,8 @@ def _simulate_chunk(args) -> tuple:
     """Replicates ``start`` .. ``start + count - 1`` of each root type, as
     arrays with one row per root type.  The rows run as one index space cut
     into lockstep blocks, so a block may hold replicates of both types."""
-    rates, root_values, seed, start, count, cap = args
-    shape = (len(root_values), count)
+    rates, seed, start, count, cap = args
+    shape = (len(RootType), count)
     out = (
         np.empty(shape, dtype=np.int64),  # jumps
         np.empty(shape),  # app exposure
@@ -321,8 +312,8 @@ def _simulate_chunk(args) -> tuple:
         np.zeros(shape, dtype=bool),  # capped
     )
     flat = [a.reshape(-1) for a in out]  # views, root-major
-    bases = np.array([mix64(seed, value) for value in root_values], dtype=np.uint64)
-    app = np.array([value == RootType.APP.value for value in root_values])
+    bases = np.array([mix64(seed, root.value) for root in RootType], dtype=np.uint64)
+    app = _ROOT_K[:, 0] == 1
     for first, size in chunk_ranges(flat[0].size, _BLOCK):
         row, index = np.divmod(np.arange(first, first + size), count)
         # key of replicate i: mix64(seed, root, i), its last fold vectorised
@@ -334,23 +325,21 @@ def _simulate_chunk(args) -> tuple:
 
 def simulate_components(
     params: Params,
-    root: RootType | tuple[RootType, ...],
     replicates: int,
     seed: int,
     cap: int = EVENT_CAP,
     workers: int = 1,
 ) -> ComponentSamples:
-    """Simulate ``replicates`` independent components rooted at ``root``, or
-    that many per root type of a tuple, all in one pass.
+    """Simulate ``replicates`` independent components of each root type, all
+    in one pass.
 
     Each record is the replicate's jump count (``cap`` if it hit the cap),
     its conditional-mean occupation integrals of k, l and 1{k+l = 1}, the
     number of app-users it ever held, the state (k, l) at which it stopped
-    and whether it hit the cap.  A record
-    depends only on (seed, root type, index), never on what ran beside it.
-    Work is split into fixed chunks of up to ``_CHUNK`` replicates of each
-    root type; with ``workers > 1`` and more than one chunk, chunks run in
-    processes.
+    and whether it hit the cap.  A record depends only on (seed, root type,
+    index), never on what ran beside it.  Work is split into fixed chunks
+    of up to ``_CHUNK`` replicates of each root type; with ``workers > 1``
+    and more than one chunk, chunks run in processes.
 
     Raises DivergentSeries without simulating when delta = 0 and the
     component's own growth is supercritical: such components survive forever
@@ -365,14 +354,10 @@ def simulate_components(
         )
     beta, pi, p = params.beta, params.pi, params.p
     rates = (beta * pi, beta * pi * p, params.gamma, beta * (1.0 - pi) * p, params.delta)
-    roots = root if isinstance(root, tuple) else (root,)
-    tasks = [
-        (rates, tuple(r.value for r in roots), seed, start, count, cap)
-        for start, count in chunk_ranges(replicates, _CHUNK)
-    ]
+    tasks = [(rates, seed, start, count, cap)
+             for start, count in chunk_ranges(replicates, _CHUNK)]
     parts = map_ordered(_simulate_chunk, tasks, workers)
-    rows = [np.concatenate(pieces, axis=1) for pieces in zip(*parts)]
-    return ComponentSamples(root, *(rows if isinstance(root, tuple) else (a[0] for a in rows)))
+    return ComponentSamples(*(np.concatenate(pieces, axis=1) for pieces in zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -381,16 +366,14 @@ class MatrixEstimate:
 
     mean: OffspringMatrix
     se: tuple[float, float, float, float]
-    replicates: int
     # sampling covariance of the two mean estimates within each row (rows are
     # estimated from disjoint replicate sets and are independent)
     row_cov: tuple[float, float]
-    capped: int = 0
 
 
-def _controls(params: Params, samples: ComponentSamples) -> np.ndarray:
-    """The five zero-mean controls of one root type's replicates, one row
-    each.
+def _controls(params: Params, samples: ComponentSamples, row: int) -> np.ndarray:
+    """The five zero-mean controls of the replicates in row ``row`` of the
+    records, one row each.
 
     Each is a count of the component's jumps minus its compensator, the sum
     over the replicate's jumps of that jump type's probability (its rate
@@ -402,35 +385,36 @@ def _controls(params: Params, samples: ComponentSamples) -> np.ndarray:
     """
     beta, gamma, delta, pi, p = (params.beta, params.gamma, params.delta,
                                  params.pi, params.p)
-    k0 = int(samples.root is RootType.APP)
-    ae, ne = samples.app_exposure, samples.nonapp_exposure
+    k0 = int(_ROOT_K[row, 0])
+    ae, ne = samples.app_exposure[row], samples.nonapp_exposure[row]
     exposure = ae + ne
-    ever_app, nonapp_joins = samples.ever_infected_app, samples.nonapp_joins
+    ever_app, nonapp_joins = samples.ever_infected_app[row], samples.nonapp_joins[row]
     c = np.empty((5, ae.size))
     absorbed, app_joins, app_recoveries, non_joins, non_recoveries = c
     # the counts, then minus their compensators, in place
-    np.subtract(1.0, samples.hit_cap, out=absorbed)
-    absorbed -= gamma * samples.size_one_exposure
+    np.subtract(1.0, samples.hit_cap[row], out=absorbed)
+    absorbed -= gamma * samples.size_one_exposure[row]
     absorbed -= delta * exposure
     np.subtract(ever_app, k0, out=app_joins)
     app_joins -= beta * pi * ae
     app_joins -= beta * pi * p * ne
-    np.subtract(ever_app, samples.k_stop, out=app_recoveries)
+    np.subtract(ever_app, samples.k_stop[row], out=app_recoveries)
     app_recoveries -= gamma * ae
     non_joins[:] = nonapp_joins
     non_joins -= beta * (1.0 - pi) * p * exposure
-    np.subtract(nonapp_joins + (1 - k0), samples.l_stop, out=non_recoveries)
+    np.subtract(nonapp_joins + (1 - k0), samples.l_stop[row], out=non_recoveries)
     non_recoveries -= gamma * ne
     return c
 
 
-def _row_samples(params: Params, samples: ComponentSamples):
-    """Per-replicate contributions to (m_i1, m_i2) for one root type: the
-    birth rates of app-user and non-app-user roots times occupation time,
-    each minus its least-squares combination of the zero-mean controls of
-    :func:`_controls` from ``_CV_MIN_REPLICATES`` replicates up: all five
-    once ``_JUMP_CV_MIN_DIAGNOSED`` of the replicates ended by a diagnosis,
-    the absorption control alone before that.
+def _row_samples(params: Params, samples: ComponentSamples, row: int):
+    """Per-replicate contributions to (m_i1, m_i2) from row ``row`` = i - 1
+    of the records, the replicates of root type i: the birth rates of
+    app-user and non-app-user roots times occupation time, each minus its
+    least-squares combination of the zero-mean controls of :func:`_controls`
+    from ``_CV_MIN_REPLICATES`` replicates up: all five once
+    ``_JUMP_CV_MIN_DIAGNOSED`` of the replicates ended by a diagnosis, the
+    absorption control alone before that.
 
     A control that is the same on every replicate is left out (pi = 0
     makes no app joins, p = 0 no non-app joins), and the fit drops every
@@ -440,13 +424,13 @@ def _row_samples(params: Params, samples: ComponentSamples):
     every replicate is left as it is."""
     to_app = params.beta * params.pi * (1.0 - params.p)
     to_non = params.beta * (1.0 - params.pi) * (1.0 - params.p)
-    exposure = samples.app_exposure + samples.nonapp_exposure
-    rows = (to_app * samples.nonapp_exposure, to_non * exposure)
-    n = samples.jumps.size
+    ne = samples.nonapp_exposure[row]
+    rows = (to_app * ne, to_non * (samples.app_exposure[row] + ne))
+    n = ne.size
     if n < _CV_MIN_REPLICATES:
         return rows
-    controls = _controls(params, samples)
-    if np.count_nonzero(samples.diagnosed) < _JUMP_CV_MIN_DIAGNOSED:
+    controls = _controls(params, samples, row)
+    if np.count_nonzero(samples.diagnosed[row]) < _JUMP_CV_MIN_DIAGNOSED:
         controls = controls[:1]
     varies = [c.min() != c.max() for c in controls]
     if not all(varies):
@@ -493,35 +477,23 @@ def estimate_offspring_matrix(
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    both = simulate_components(params, tuple(RootType), replicates, seed, cap, workers)
-    app, non = both.by_root()
-    capped = both.capped
+    samples = simulate_components(params, replicates, seed, cap, workers)
+    capped = samples.capped
     if capped > _MAX_CAPPED_FRACTION * 2 * replicates:
         raise EventCapExceeded(
             f"{capped} of {2 * replicates} replicates hit the event cap"
         )
-    x11, x12 = _row_samples(params, app)
-    x21, x22 = _row_samples(params, non)
-    m11, m12, se11, se12, cov1 = _mean_se_cov(x11, x12)
-    m21, m22, se21, se22, cov2 = _mean_se_cov(x21, x22)
+    m11, m12, se11, se12, cov1 = _mean_se_cov(*_row_samples(params, samples, 0))
+    m21, m22, se21, se22, cov2 = _mean_se_cov(*_row_samples(params, samples, 1))
     mean = OffspringMatrix(m11, m12, m21, m22, (PROV_ESTIMATED,) * 4)
-    return MatrixEstimate(
-        mean=mean,
-        se=(se11, se12, se21, se22),
-        replicates=replicates,
-        row_cov=(cov1, cov2),
-        capped=capped,
-    )
+    return MatrixEstimate(mean=mean, se=(se11, se12, se21, se22), row_cov=(cov1, cov2))
 
 
-@dataclass(frozen=True)
-class SpectralRadiusEstimate:
-    """Monte Carlo reproduction number with a delta-method CI."""
+@dataclass(frozen=True, kw_only=True)
+class SpectralRadiusEstimate(Estimate):
+    """Monte Carlo reproduction number with its delta-method standard error
+    and the offspring matrix it is the spectral radius of."""
 
-    value: float
-    se: float
-    ci_low: float
-    ci_high: float
     matrix: MatrixEstimate
 
 
@@ -568,34 +540,17 @@ def r_component_combined(
     the control-variate adjusted ones (see the module docstring).
     """
     est = estimate_offspring_matrix(params, replicates, seed, workers=workers)
-    value = spectral_radius_2x2(est.mean)
-    se = _delta_method_se(est)
-    return SpectralRadiusEstimate(
-        value=value,
-        se=se,
-        ci_low=value - 1.96 * se,
-        ci_high=value + 1.96 * se,
-        matrix=est,
-    )
+    return SpectralRadiusEstimate(spectral_radius_2x2(est.mean), _delta_method_se(est),
+                                  matrix=est)
 
 
-@dataclass(frozen=True)
-class ExactValue:
-    """A closed-form number in an estimate's shape: standard error 0 and a
-    zero-width 95% interval at the value."""
-
-    value: float
-    se = 0.0
-    ci_low = property(lambda self: self.value)
-    ci_high = property(lambda self: self.value)
-
-
-@dataclass(frozen=True)
-class NaiveProductEstimate(ExactValue):
-    """R0 (1 - r_M)(1 - r_D) = R_M R_D / R0 with its two factors, all exact."""
+@dataclass(frozen=True, kw_only=True)
+class NaiveProductEstimate(Estimate):
+    """R0 (1 - r_M)(1 - r_D) = R_M R_D / R0 with its two factors, all exact
+    (standard error 0)."""
 
     r_digital: float
-    r_manual: ExactValue
+    r_manual: Estimate
 
 
 def naive_combined_r(
@@ -612,7 +567,6 @@ def naive_combined_r(
     and go with the benchmark's next change.  Raises DivergentSeries where
     either factor diverges.
     """
-    return NaiveProductEstimate(
-        independence_product(params), r_component_digital(params),
-        ExactValue(r_manual(params)),
-    )
+    return NaiveProductEstimate(independence_product(params),
+                                r_digital=r_component_digital(params),
+                                r_manual=Estimate(r_manual(params)))

@@ -64,7 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import chunk_ranges, map_ordered, mix64, stream_uniforms, wilson_interval
+from ._util import (
+    chunk_ranges, map_ordered, mix64, stream_uniforms, usable_workers, wilson_interval,
+)
 from .params import InvalidParams, Params
 
 INFECTIOUS = 0
@@ -358,7 +360,8 @@ def ensemble_outcomes(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ptuple = (params.beta, params.gamma, params.delta, params.pi, params.p, params.n)
-    chunk = max(1, min(200, runs // max(1, 4 * workers)))
+    workers = usable_workers(workers)
+    chunk = max(1, min(200, runs // (4 * workers)))
     tasks = [(ptuple, seed, start, count) for start, count in chunk_ranges(runs, chunk)]
     outcomes = []
     for part in map_ordered(_run_chunk, tasks, workers):

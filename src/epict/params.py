@@ -25,6 +25,7 @@ class InvalidParams(ValueError):
 
 
 PARAM_KEYS = ("beta", "gamma", "delta", "pi", "p", "n")
+_RATE_KEYS = PARAM_KEYS[:5]
 
 
 def _is_whole(value) -> bool:
@@ -37,10 +38,10 @@ def _is_whole(value) -> bool:
         return False
 
 
-def _population_size(value) -> int:
-    """``value`` as an int ``n``, never silently truncated."""
+def _whole(name: str, value) -> int:
+    """``value`` as an int, never silently truncated (JSON true is not 1)."""
     if not _is_whole(value):
-        raise InvalidParams("n must be a positive integer")
+        raise InvalidParams(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -49,6 +50,23 @@ def _number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParams(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _keys(obj, what: str, required: tuple, optional: tuple = (), key: str = "") -> dict:
+    """``obj`` if it is a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``: misspelt or leftover keys fail
+    loudly.  Messages name the object ``what`` and its keys ``key`` (by
+    default ``what`` too)."""
+    if not isinstance(obj, dict):
+        raise InvalidParams(f"{what} must be a JSON object")
+    key = key or what
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise InvalidParams(f"unknown {key} key(s): {', '.join(unknown)}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise InvalidParams(f"missing {key} key(s): {', '.join(missing)}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -80,6 +98,7 @@ class Params:
             problems.append("n must be a positive integer")
         if problems:
             raise InvalidParams("; ".join(problems))
+        object.__setattr__(self, "n", int(self.n))  # whole, so 7.0 is stored as 7
 
 
 class ParamArrays(NamedTuple):
@@ -126,8 +145,6 @@ def with_param(params: Params, name: str, value) -> Params:
         return dataclasses.replace(params, delta=delta_for_testing_fraction(value, params.gamma))
     if name not in PARAM_KEYS:
         raise InvalidParams(f"unknown parameter name: {name!r}")
-    if name == "n":
-        value = _population_size(value)
     return dataclasses.replace(params, **{name: value})
 
 
@@ -175,17 +192,9 @@ def params_from_dict(obj: dict, base: Params | None = None) -> Params:
     fractions are required and ``n`` defaults to 1.  Every value must be a
     JSON number: ``true`` and ``"0.5"`` are refused, not converted.
     """
-    if not isinstance(obj, dict):
-        raise InvalidParams("parameters must be a JSON object")
-    unknown = sorted(set(obj) - set(PARAM_KEYS))
-    if unknown:
-        raise InvalidParams(f"unknown parameter key(s): {', '.join(unknown)}")
+    _keys(obj, "parameters", () if base else _RATE_KEYS, PARAM_KEYS, key="parameter")
     if base is None:
-        missing = [k for k in ("beta", "gamma", "delta", "pi", "p") if k not in obj]
-        if missing:
-            raise InvalidParams(f"missing parameter key(s): {', '.join(missing)}")
-        rates = {k: _number(k, obj[k]) for k in ("beta", "gamma", "delta", "pi", "p")}
-        return Params(**rates, n=_population_size(obj.get("n", 1)))
+        return Params(**{k: _number(k, obj[k]) for k in _RATE_KEYS}, n=obj.get("n", 1))
     merged = params_to_dict(base)
     merged.update(obj)
     return params_from_dict(merged)

@@ -10,7 +10,8 @@ that tolerance, while a Monte Carlo target escalates the replicate count
 where that interval straddles 1 and stops once the bracket is narrower than
 the coordinate tolerance.  A solve evaluates each coordinate once.  Every
 reported interval, in a curve, heatmap or profile row, is the 95% interval
-value +- ``REPORT_Z`` (1.96) standard errors of the evaluation behind it.
+value +- 1.96 standard errors of the evaluation behind it (its
+``interval()``, at ``_util.REPORT_Z``).
 
 Monte Carlo settings (base replicates, seed, workers) come from the caller,
 not from the sweep spec.  Every Monte Carlo evaluation is seeded from the
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import float_key, mix64
+from ._util import Estimate, float_key, mix64
 # naive_combined_r is not called here (the product is evaluated through
 # _closed_form_target), but the benchmark's tracer patches this name
 from .component import naive_combined_r, r_component_combined
@@ -36,7 +37,7 @@ from .digital import (
     r_manual,
 )
 from .params import (
-    AXIS_NAMES, ParamArrays, Params, _is_whole, _number, param_grid, params_from_dict,
+    AXIS_NAMES, ParamArrays, Params, _keys, _number, _whole, param_grid, params_from_dict,
     with_param,
 )
 
@@ -52,7 +53,6 @@ class Target(enum.Enum):
 MC_TARGETS = (Target.R_DM,)
 MAX_ESCALATIONS = 2  # replicate count grows 4x per escalation
 DECISION_Z = 3.0     # half-width, in standard errors, of the interval that picks a side
-REPORT_Z = 1.96      # half-width, in standard errors, of every reported interval (95%)
 DEFAULT_REPLICATES = 20_000
 
 
@@ -119,29 +119,15 @@ class SweepSpec:
     solve: SolveSpec | None = None
 
 
-def _keys(obj, what: str, required: tuple, optional: tuple = ()) -> dict:
-    # misspelt or leftover keys fail loudly, as in params_from_dict
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
-    return obj
-
-
 def spec_from_json(text: str) -> SweepSpec:
     obj = _keys(json.loads(text), "sweep", ("target", "fixed", "free_axis"),
                 ("second_axis", "solve"))
 
     def axis(what):
         d = _keys(obj[what], what, ("name", "start", "stop", "points"))
-        if not _is_whole(d["points"]):
-            raise ValueError(f"{what} points must be a whole number, got {d['points']!r}")
         return AxisSpec(d["name"], _number(f"{what} start", d["start"]),
-                        _number(f"{what} stop", d["stop"]), int(d["points"]))
+                        _number(f"{what} stop", d["stop"]),
+                        _whole(f"{what} points", d["points"]))
 
     solve = obj.get("solve")
     if solve is not None:
@@ -162,16 +148,12 @@ def spec_from_json(text: str) -> SweepSpec:
     )
 
 
-@dataclass(frozen=True)
-class TargetEval:
-    value: float
-    se: float = 0.0  # 0 for a closed-form value
-    status: str = "ok"
+@dataclass(frozen=True, kw_only=True)
+class TargetEval(Estimate):
+    """A target's value and standard error (0 for a closed form), and
+    whether it was ``ok`` or ``divergent``."""
 
-    def interval(self, z: float) -> tuple[float, float]:
-        if not self.se:  # zero width: rows keep the value's own float object
-            return self.value, self.value
-        return self.value - z * self.se, self.value + z * self.se
+    status: str = "ok"
 
 
 def evaluate_target(
@@ -272,7 +254,7 @@ def find_critical(
 
     Each coordinate is evaluated once, the final midpoint with the same
     escalation as every other point.  The returned point reports that
-    evaluation's 95% interval, value +- ``REPORT_Z`` standard errors: R's
+    evaluation's 95% interval, value +- 1.96 standard errors: R's
     interval at the returned coordinate, which may exclude 1, not an
     interval for the critical value.
 
@@ -314,7 +296,7 @@ def find_critical(
         return made[key]
 
     def root(x, ev):
-        return CurvePoint(abscissa, x, abs(ev.value - 1.0), *ev.interval(REPORT_Z))
+        return CurvePoint(abscissa, x, abs(ev.value - 1.0), *ev.interval())
 
     if solve_coordinate == "pi":
         # nine-point scan over all ordered pairs; only reversals separated
@@ -476,7 +458,7 @@ def heatmap_rows(grid: HeatmapGrid) -> list[list]:
     rows = []
     for x1, row in zip(grid.axis1.values(), grid.cells):
         for x2, ev in zip(grid.axis2.values(), row):
-            low, high = ev.interval(REPORT_Z)
+            low, high = ev.interval()
             rows.append([x1, x2, _num(ev.value), _num(low), _num(high), ev.status])
     return rows
 
@@ -490,7 +472,7 @@ def spec_dataset(spec: SweepSpec, mc: MCSettings) -> SweepDataset:
         return SweepDataset("heatmap", HEATMAP_HEADER, heatmap_rows(heatmap_grid(spec, mc)))
     rows = []
     for x, ev in profile(spec, mc):
-        low, high = ev.interval(REPORT_Z)
+        low, high = ev.interval()
         rows.append([x, _num(ev.value), _num(low), _num(high), ev.status])
     return SweepDataset("profile", PROFILE_HEADER, rows)
 

@@ -34,7 +34,6 @@ from epict import (
     run_epidemic,
     with_param,
 )
-from epict.component import RootType, simulate_components
 from epict.digital import _spectral_radius
 from epict.epidemic import ensemble_outcomes
 

@@ -14,6 +14,7 @@ engine must reproduce bit for bit.
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ FIELDS = ("jumps", "app_exposure", "nonapp_exposure", "size_one_exposure",
           "ever_infected_app", "k_stop", "l_stop", "hit_cap")
 
 
+def one_root(samples, root):
+    """Root type ``root``'s row of the records, as 1-D arrays together with
+    its derived counts, for checks written one root type at a time."""
+    row = list(RootType).index(root)
+    return types.SimpleNamespace(
+        root=root, row=row, **{f: getattr(samples, f)[row] for f in FIELDS},
+        nonapp_joins=samples.nonapp_joins[row], diagnosed=samples.diagnosed[row],
+        capped=int(samples.hit_cap[row].sum()),
+    )
+
+
 def record(samples, i):
     """Replicate ``i``'s record in ``scalar_component``'s layout."""
     return (tuple(getattr(samples, f)[i] for f in FIELDS[:-1])
@@ -125,9 +137,10 @@ def record(samples, i):
 
 
 def assert_matches_scalar(params, root, replicates, seed, cap=10**7):
-    """Batch records equal the scalar simulator's, replicate by replicate;
-    returns the batch and the scalar causes of death."""
-    s = simulate_components(params, root, replicates, seed, cap=cap)
+    """Batch records of root type ``root`` equal the scalar simulator's,
+    replicate by replicate; returns that root type's records and the scalar
+    causes of death."""
+    s = one_root(simulate_components(params, replicates, seed, cap=cap), root)
     causes = []
     for i in range(replicates):
         want, cause = scalar_component(params, root, seed, i, cap)
@@ -200,7 +213,7 @@ def test_no_births_when_tracing_is_certain():
 
 def test_app_root_without_manual_tracing_stays_app_only():
     p = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 0.0, 1)
-    s = simulate_components(p, RootType.APP, 300, seed=11)
+    s = one_root(simulate_components(p, 300, seed=11), RootType.APP)
     assert np.all(s.nonapp_exposure == 0.0)
     assert np.all(s.app_exposure > 0.0) and np.all(s.ever_infected_app >= 1)
 
@@ -229,7 +242,7 @@ def test_event_cap_outcome_and_estimator_failure():
     assert scalar_component(p, RootType.APP, 1, 0, cap=64)[1] == "event-cap-hit"
     assert not component_dies_out(p)
     with pytest.raises(DivergentSeries):
-        simulate_components(p, RootType.APP, 100, seed=1)
+        simulate_components(p, 100, seed=1)
     # barely-dying case: delta > 0 passes the guard; capped replicates stop
     # at exactly ``cap`` jumps, in lockstep and in the scalar tail alike
     q = Params(2.0, 1 / 7, 1e-4, 1.0, 0.0, 1)
@@ -313,61 +326,81 @@ def test_determinism_across_worker_counts():
     assert one == two
 
 
+def test_control_variate_estimate_pinned(table2_params):
+    # 50000 replicates per root type at the reference point, all five
+    # controls fitted: the estimate behind the benchmark's R_DM interval
+    est = r_component_combined(table2_params, 50_000, seed=2, workers=2)
+    assert [x.hex() for x in (est.value, est.se, est.ci_low, est.ci_high)] == [
+        "0x1.d38b776596830p-1", "0x1.833651e09129cp-12",
+        "0x1.d32c9972ceda5p-1", "0x1.d3ea55585e2bbp-1",
+    ]
+
+
 def test_determinism_across_chunks_and_workers(table2_params):
     # several chunks, so workers=2 really runs them in processes
     replicates = 2 * _CHUNK + 5_000
-    for root in RootType:
-        one = simulate_components(table2_params, root, replicates, seed=19, workers=1)
-        two = simulate_components(table2_params, root, replicates, seed=19, workers=2)
-        assert one.capped == two.capped
-        for field in FIELDS:
-            assert np.array_equal(getattr(one, field), getattr(two, field))
+    one = simulate_components(table2_params, replicates, seed=19, workers=1)
+    two = simulate_components(table2_params, replicates, seed=19, workers=2)
+    assert one.capped == two.capped
+    for field in FIELDS:
+        assert np.array_equal(getattr(one, field), getattr(two, field))
     one = r_component_combined(table2_params, replicates, seed=19, workers=1)
     two = r_component_combined(table2_params, replicates, seed=19, workers=2)
     assert one == two
 
 
+@functools.lru_cache(maxsize=None)
+def scalar_rows(params, replicates, seed, cap=10**7):
+    """The scalar simulator's records of both root types, field by field,
+    as arrays of shape (2, replicates) in the engine's layout, with
+    ``nonapp_joins`` and ``diagnosed`` last."""
+    runs = [[scalar_component(params, root, seed, i, cap) for i in range(replicates)]
+            for root in RootType]
+    out = {f: np.array([[rec[j] for rec, _ in row] for row in runs])
+           for j, f in enumerate(FIELDS[:-1] + ("nonapp_joins",))}
+    for flag, cause in (("hit_cap", "event-cap-hit"), ("diagnosed", "diagnosed")):
+        out[flag] = np.array([[c == cause for _, c in row] for row in runs])
+    return out
+
+
+def assert_rows_match_scalar(samples, want):
+    assert samples.jumps.shape == want["jumps"].shape
+    for field, values in want.items():
+        assert np.array_equal(getattr(samples, field), values), field
+    assert samples.capped == want["hit_cap"].sum()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("replicates", [_BLOCK // 2 + 5, _CHUNK + 7],
                          ids=["root-switch-inside-a-block", "chunk-edge"])
-def test_merged_roots_equal_single_root_calls(table2_params, replicates, workers):
+def test_both_rows_match_the_scalar_simulator(table2_params, replicates, workers):
     # both root types in one pass share lockstep blocks: at BLOCK/2 + 5 per
     # root the first block switches root type in its middle, and at CHUNK + 7
-    # the second task holds 7 of each, with two tasks for the process pool
-    both = simulate_components(table2_params, tuple(RootType), replicates, seed=29,
-                               workers=workers)
-    assert both.root == tuple(RootType)
-    assert both.jumps.shape == (2, replicates)
-    for root, merged in zip(RootType, both.by_root()):
-        alone = simulate_components(table2_params, root, replicates, seed=29)
-        assert merged.root is root
-        for field in FIELDS:
-            got, want = getattr(merged, field), getattr(alone, field)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (root, field)
-    assert both.capped == sum(part.capped for part in both.by_root())
+    # the second task holds 7 of each, with two tasks for the process pool;
+    # every replicate of both rows must still be the one simulated alone
+    samples = simulate_components(table2_params, replicates, seed=29, workers=workers)
+    assert_rows_match_scalar(samples, scalar_rows(table2_params, replicates, 29))
 
 
-def test_merged_roots_equal_single_root_calls_at_the_cap():
+def test_both_rows_match_the_scalar_simulator_at_the_cap():
     p = Params(2.0, 1 / 7, 1e-3, 0.9, 0.5, 1)
-    both = simulate_components(p, tuple(RootType), 300, seed=3, cap=64)
-    assert both.capped > 300
-    for root, merged in zip(RootType, both.by_root()):
-        alone = simulate_components(p, root, 300, seed=3, cap=64)
-        for field in FIELDS:
-            assert np.array_equal(getattr(merged, field), getattr(alone, field))
+    samples = simulate_components(p, 300, seed=3, cap=64)
+    assert samples.capped > 300
+    assert_rows_match_scalar(samples, scalar_rows(p, 300, 3, 64))
 
 
 def test_replicate_streams_keyed_by_index(table2_params):
     # each replicate's stream is a pure function of (seed, root, index): a
     # shorter run is a prefix of a longer one, across chunk boundaries too
-    long = simulate_components(table2_params, RootType.NON_APP, _CHUNK + 3_000, seed=123)
-    short = simulate_components(table2_params, RootType.NON_APP, _CHUNK + 7, seed=123)
+    long = simulate_components(table2_params, _CHUNK + 3_000, seed=123)
+    short = simulate_components(table2_params, _CHUNK + 7, seed=123)
     for field in FIELDS:
-        assert np.array_equal(getattr(long, field)[: _CHUNK + 7], getattr(short, field))
+        assert np.array_equal(getattr(long, field)[:, : _CHUNK + 7], getattr(short, field))
     # and recomputes alone from those three numbers
-    for i in (0, 5, _CHUNK + 2_999):
-        want, _ = scalar_component(table2_params, RootType.NON_APP, 123, i)
-        assert record(long, i) == want
+    for root in RootType:
+        for i in (0, 5, _CHUNK + 2_999):
+            want, _ = scalar_component(table2_params, root, 123, i)
+            assert record(one_root(long, root), i) == want
     keys = {stream_key(123, RootType.APP, 5), stream_key(123, RootType.APP, 6),
             stream_key(123, RootType.NON_APP, 5)}
     assert len(keys) == 3
@@ -442,8 +475,9 @@ def test_r_combined_reference_values(table2_params):
     to_app = p.beta * p.pi * (1.0 - p.p)
     to_non = p.beta * (1.0 - p.pi) * (1.0 - p.p)
     rows = []
+    both = simulate_components(p, 150_000, seed=61, workers=WORKERS)
     for root in (RootType.APP, RootType.NON_APP):
-        s = simulate_components(p, root, 150_000, seed=61, workers=WORKERS)
+        s = one_root(both, root)
         c = [absorption_control(p, s), *jump_controls(p, s).values()]
         rows += [control_adjusted(to_app * s.nonapp_exposure, c),
                  control_adjusted(to_non * (s.app_exposure + s.nonapp_exposure), c)]
@@ -466,11 +500,11 @@ CONTROL_CASES = {
 
 
 @functools.lru_cache(maxsize=None)
-def control_samples(case, root):
-    """20000 replicates of one control case and root type, simulated once
-    for every mean-zero test."""
+def control_samples(case):
+    """20000 replicates of each root type of one control case, simulated
+    once for every mean-zero test."""
     params, cap = CONTROL_CASES[case]
-    return simulate_components(params, root, 20_000, seed=81, cap=cap, workers=WORKERS)
+    return simulate_components(params, 20_000, seed=81, cap=cap, workers=WORKERS)
 
 
 @pytest.mark.parametrize("case", CONTROL_CASES)
@@ -478,7 +512,7 @@ def test_absorption_control_has_mean_zero(case):
     params, cap = CONTROL_CASES[case]
     assert component_dies_out(params)
     for root in RootType:
-        s = control_samples(case, root)
+        s = one_root(control_samples(case), root)
         c = absorption_control(params, s)
         if cap == 64:
             assert s.capped > 0.5 * c.size
@@ -491,11 +525,12 @@ def test_absorption_control_has_mean_zero(case):
 def test_jump_controls_have_mean_zero(case, control):
     params, _ = CONTROL_CASES[case]
     for root in RootType:
-        s = control_samples(case, root)
+        s = one_root(control_samples(case), root)
         controls = jump_controls(params, s)
         c = controls[control]
         # the engine builds the same control from the same records
-        engine = dict(zip(controls, component._controls(params, s)[1:]))
+        engine = dict(zip(controls, component._controls(params, control_samples(case),
+                                                         s.row)[1:]))
         assert np.array_equal(engine[control], c)
         assert c.std() > 0.0
         assert abs(c.mean()) <= 4 * c.std(ddof=1) / math.sqrt(c.size)
@@ -506,9 +541,9 @@ def test_join_controls_vanish_without_their_joins():
     # are exactly 0 on every replicate, and the fit must leave them out
     for params, control in ((Params(0.8, 1 / 7, 1 / 7, 0.0, 2 / 3, 1), "app-joins"),
                             (Params(0.8, 1 / 7, 1 / 7, 2 / 3, 0.0, 1), "nonapp-joins")):
+        both = simulate_components(params, 3_000, seed=82)
         for root in RootType:
-            s = simulate_components(params, root, 3_000, seed=82)
-            assert np.all(jump_controls(params, s)[control] == 0.0)
+            assert np.all(jump_controls(params, one_root(both, root))[control] == 0.0)
 
 
 def _lattice_radius(params):
@@ -539,9 +574,9 @@ def test_plain_means_below_control_threshold(table2_params, monkeypatch):
     replicates = component._CV_MIN_REPLICATES - 1
     est = r_component_combined(table2_params, replicates, seed=92)
     rows = []
-    for root in RootType:
-        s = simulate_components(table2_params, root, replicates, seed=92)
-        rows += [s.nonapp_exposure, s.app_exposure + s.nonapp_exposure]
+    s = simulate_components(table2_params, replicates, seed=92)
+    for row in range(len(RootType)):
+        rows += [s.nonapp_exposure[row], s.app_exposure[row] + s.nonapp_exposure[row]]
     p = table2_params
     to_app = p.beta * p.pi * (1.0 - p.p)
     to_non = p.beta * (1.0 - p.pi) * (1.0 - p.p)
@@ -580,8 +615,8 @@ def test_interval_coverage_at_the_control_threshold():
     # five controls are fitted, against the lattice solve
     params = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1)
     replicates = component._CV_MIN_REPLICATES
-    for s in simulate_components(params, tuple(RootType), replicates, seed=0).by_root():
-        assert s.diagnosed.sum() >= component._JUMP_CV_MIN_DIAGNOSED
+    diagnosed = simulate_components(params, replicates, seed=0).diagnosed.sum(axis=1)
+    assert np.all(diagnosed >= component._JUMP_CV_MIN_DIAGNOSED)
     exact = _lattice_radius(params)
     z = np.array([(est.value - exact) / est.se for est in (
         r_component_combined(params, replicates, seed=seed) for seed in range(100))])
@@ -597,8 +632,8 @@ def test_jump_controls_wait_for_diagnosed_replicates(monkeypatch):
     reference = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 1)
     replicates = component._CV_MIN_REPLICATES
     both = [r_component_combined(p, replicates, seed=94) for p in (low, reference)]
-    for s in simulate_components(low, tuple(RootType), replicates, seed=94).by_root():
-        assert 0 < s.diagnosed.sum() < component._JUMP_CV_MIN_DIAGNOSED
+    diagnosed = simulate_components(low, replicates, seed=94).diagnosed.sum(axis=1)
+    assert np.all((0 < diagnosed) & (diagnosed < component._JUMP_CV_MIN_DIAGNOSED))
     monkeypatch.setattr(component, "_JUMP_CV_MIN_DIAGNOSED", math.inf)
     alone = [r_component_combined(p, replicates, seed=94) for p in (low, reference)]
     assert both[0] == alone[0]
@@ -690,5 +725,5 @@ def test_manual_r_shape_in_p_at_half_testing(figure_params):
 
 def test_jumps_floor():
     p = Params(0.8, 1 / 7, 1 / 7, 0.5, 0.5, 1)
-    s = simulate_components(p, RootType.NON_APP, 100, seed=123)
+    s = simulate_components(p, 100, seed=123)
     assert s.jumps.min() >= 1

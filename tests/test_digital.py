@@ -33,6 +33,8 @@ from epict.digital import OffspringMatrix, _spectral_radius
 from conftest import WORKERS
 from oracles import tail_prob_jumps
 
+APP = list(RootType).index(RootType.APP)  # the app-rooted row of component records
+
 
 def tail_by_enumeration(k: int, beta, gamma, delta, pi) -> Fraction:
     """P(cluster survives > k jumps) by exact DP over the embedded jump chain.
@@ -171,9 +173,9 @@ def test_expected_jumps_heavy_testing_is_almost_one():
 
 def test_expected_jumps_monte_carlo_oracle():
     p = params(pi=2 / 3)
-    samples = simulate_components(p, RootType.APP, 120_000, seed=314, workers=WORKERS)
-    mc = samples.jumps.mean()
-    se = samples.jumps.std(ddof=1) / math.sqrt(samples.jumps.size)
+    jumps = simulate_components(p, 120_000, seed=314, workers=WORKERS).jumps[APP]
+    mc = jumps.mean()
+    se = jumps.std(ddof=1) / math.sqrt(jumps.size)
     assert abs(expected_jumps(p) - mc) <= 3 * se
 
 
@@ -359,8 +361,7 @@ def test_mean_component_size_edges():
 
 def test_mean_component_size_monte_carlo_oracle():
     p = params(pi=2 / 3)
-    samples = simulate_components(p, RootType.APP, 120_000, seed=525, workers=WORKERS)
-    ever = samples.ever_infected_app
+    ever = simulate_components(p, 120_000, seed=525, workers=WORKERS).ever_infected_app[APP]
     se = ever.std(ddof=1) / math.sqrt(ever.size)
     assert abs(mean_component_size(p) - ever.mean()) <= 3 * se
 
@@ -381,8 +382,7 @@ def test_r_individual_full_app_coverage():
 def test_r_individual_monte_carlo_oracle():
     # per-app-user infections: (cluster size - 1 internal + external) / size
     p = params(pi=1.0)
-    samples = simulate_components(p, RootType.APP, 120_000, seed=99, workers=WORKERS)
-    ever = samples.ever_infected_app
+    ever = simulate_components(p, 120_000, seed=99, workers=WORKERS).ever_infected_app[APP]
     ratio = (ever.mean() - 1.0) / ever.mean()
     # delta-method SE for the ratio f(m)= (m-1)/m is se_m / m^2
     se = ever.std(ddof=1) / math.sqrt(ever.size) / ever.mean() ** 2

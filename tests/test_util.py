@@ -1,12 +1,19 @@
 """The process pool behind ``map_ordered``: one per process, replaced when a
-worker dies, gone when the process exits."""
+worker dies, gone when the process exits, never larger than the usable CPUs;
+and the one estimate type."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
+
+from epict import Params, _util, cli, ensemble_outcomes
+from epict._util import Estimate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,3 +58,57 @@ def test_pool_reused_replaced_when_broken_and_gone_at_exit():
     old, new = set(got["old"]), set(got["new"])
     assert len(old) <= 2 and len(new) <= 2 and not old & new
     assert not [p for p in old | new if alive(p)]
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        self._broken = False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs and a fake pool, so that no process starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(_util, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(_util, "_pool", None)
+    monkeypatch.setattr(_util, "_pool_workers", 0)
+    FakePool.sizes = []
+    return FakePool
+
+
+def test_worker_count_clamped_to_usable_cpus(three_cpus):
+    assert _util.map_ordered(abs, [-1, -2, -3, -4], 5000) == [1, 2, 3, 4]
+    assert three_cpus.sizes == [3]
+    assert _util.usable_workers(2) == 2 and _util.usable_workers(0) == 1
+    assert cli._threads("threads", "auto") == 3
+    assert cli._threads("threads", 5000) == 5000  # accepted; clamped where mapped
+
+
+def test_clamped_ensemble_is_bit_identical(three_cpus):
+    params = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 2 / 3, 60)
+    alone = ensemble_outcomes(params, 40, seed=5, workers=1)
+    assert three_cpus.sizes == []
+    assert ensemble_outcomes(params, 40, seed=5, workers=5000) == alone
+    assert three_cpus.sizes == [3]
+
+
+def test_estimate_interval():
+    value = 1.0 / 3.0
+    exact = Estimate(value)
+    assert exact.interval() == (value, value) and exact.ci_low is value
+    assert exact.ci_high is value and exact.interval(3.0)[0] is value
+    est = Estimate(value, 0.25)
+    assert (est.ci_low, est.ci_high) == (value - 1.96 * 0.25, value + 1.96 * 0.25)
+    assert est.interval(3.0) == (value - 0.75, value + 0.75)
+    assert Estimate(math.inf).interval() == (math.inf, math.inf)
