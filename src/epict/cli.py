@@ -85,7 +85,13 @@ def _threads(name: str, value) -> int:
     clamped to that where the work is mapped."""
     if value == "auto":
         return usable_workers()
-    k = int(value) if isinstance(value, str) else _whole(name, value)
+    if isinstance(value, str):  # a flag's text, or a string in the config file
+        try:
+            value = int(value)
+        except ValueError:
+            raise InvalidParams(
+                f"{name} must be a whole number or 'auto', got {value!r}") from None
+    k = _whole(name, value)
     if k < 1:
         raise ValueError(f"{name} must be >= 1 or 'auto'")
     return k
@@ -132,8 +138,9 @@ OPTIONS = {
     "seed": Option(_reads(RANDOM, DEFAULT_SEED), _whole,
                    {"type": int, "help": f"master seed (default {DEFAULT_SEED})"}, True),
     "threads": Option(_reads(RANDOM, "auto"), _threads,
-                      {"help": "worker processes, integer or 'auto' (component Monte "
-                               "Carlo: only above 65536 replicates)"}, True),
+                      {"help": "worker processes, integer or 'auto' (a component "
+                               "estimate uses them only above 65536 replicates; a "
+                               "sweep runs one Monte Carlo point per worker)"}, True),
     "replicates": Option({"component-mc": 10**6, "sweep": DEFAULT_REPLICATES, "table2": 10**6},
                          _whole, {"type": int, "help": "Monte Carlo replicates per root type "
                                   "(sweep: base replicates per evaluation, default "
@@ -310,7 +317,7 @@ def cmd_component_mc(opts: argparse.Namespace) -> int:
 
 def cmd_epidemic(opts: argparse.Namespace) -> int:
     p = opts.params
-    _log(f"[epidemic] {opts.runs} runs, n={p.n}, threads={opts.threads}")
+    _log(f"[epidemic] {opts.runs} runs, n={p.n}, threads={usable_workers(opts.threads)}")
     outcomes = ensemble_outcomes(p, opts.runs, opts.seed, workers=opts.threads)
     summary = summarize_ensemble(outcomes, p.n)
     report = {

@@ -17,6 +17,16 @@ Monte Carlo settings (base replicates, seed, workers) come from the caller,
 not from the sweep spec.  Every Monte Carlo evaluation is seeded from the
 sweep seed and the exact float bit patterns of its coordinates, so any
 published cell or curve point can be recomputed bit-exactly in isolation.
+
+The Monte Carlo points of a sweep are therefore independent tasks: each
+heatmap or profile cell, and each curve point's whole bisection with its
+escalations, runs in one process, and the tasks fan out over the process
+pool of ``_util.map_ordered`` with ``workers`` processes.  A task estimates
+with one worker, so no pool worker maps again; a direct call of
+:func:`find_critical` or :func:`evaluate_target` still splits an estimate
+of more than one chunk over the workers.  Closed-form points cost
+microseconds and stay in-process.  Results are bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import Estimate, float_key, mix64
+from ._util import Estimate, float_key, map_ordered, mix64
 # naive_combined_r is not called here (the product is evaluated through
 # _closed_form_target), but the benchmark's tracer patches this name
 from .component import naive_combined_r, r_component_combined
@@ -156,6 +166,12 @@ class TargetEval(Estimate):
     status: str = "ok"
 
 
+def _needs_mc(target: Target, mc: MCSettings | None) -> MCSettings:
+    if mc is None:
+        raise ValueError(f"target {target.value} needs mc settings")
+    return mc
+
+
 def evaluate_target(
     target: Target,
     params: Params,
@@ -172,8 +188,7 @@ def evaluate_target(
     """
     try:
         if target in MC_TARGETS:
-            if mc is None:
-                raise ValueError(f"target {target.value} needs mc settings")
+            mc = _needs_mc(target, mc)
             reps = replicates if replicates is not None else mc.replicates
             est = r_component_combined(params, reps, seed=eval_seed, workers=mc.workers)
             return TargetEval(est.value, est.se)
@@ -267,8 +282,7 @@ def find_critical(
         raise ValueError("bracket must satisfy lo < hi")
     sampled = target in MC_TARGETS
     if sampled:
-        if mc is None:
-            raise ValueError(f"target {target.value} needs mc settings")
+        mc = _needs_mc(target, mc)
         tol = 0.0  # the interval itself carries the uncertainty
 
     def evaluate_once(x):
@@ -343,31 +357,78 @@ def find_critical(
     return root(m, evaluate(m))
 
 
+def _solve_point(spec: SweepSpec, abscissa: float, mc: MCSettings | None) -> CurvePoint:
+    """find_critical at one abscissa of the free axis; failures become markers."""
+    fixed = with_param(spec.fixed, spec.free_axis.name, abscissa)
+    try:
+        return find_critical(
+            spec.target,
+            spec.solve.coordinate,
+            (spec.solve.lo, spec.solve.hi),
+            fixed,
+            tol=spec.solve.residual_tol,
+            coord_tol=spec.solve.coord_tol,
+            mc=mc,
+            abscissa=abscissa,
+        )
+    except NoRootInBracket as exc:
+        return CurvePoint(abscissa, None, float("nan"), status=f"no-root: {exc}")
+    except NonMonotoneTarget as exc:
+        return CurvePoint(abscissa, None, float("nan"), status=f"non-monotone: {exc}")
+
+
+def _evaluate_cell(target: Target, params: Params, mc: MCSettings, seed: int) -> TargetEval:
+    """evaluate_target as a task: its own module function, so that a pool
+    pickles it by name even while evaluate_target is wrapped."""
+    return evaluate_target(target, params, mc=mc, eval_seed=seed)
+
+
+def _call(task):
+    fn, *args = task
+    return fn(*args)
+
+
+def _curve_tasks(spec: SweepSpec, mc: MCSettings) -> list[tuple]:
+    """One task per abscissa: a whole bisection, escalations included."""
+    one = replace(mc, workers=1)
+    return [(_solve_point, spec, a, one) for a in spec.free_axis.values()]
+
+
+def _cell_tasks(spec: SweepSpec, mc: MCSettings, axis2: AxisSpec | None) -> list[tuple]:
+    """One evaluation task per cell, row-major over free_axis x axis2, or
+    along free_axis, where a cell is seeded as at second coordinate 0."""
+    one = replace(mc, workers=1)
+    tasks = []
+    for x1 in spec.free_axis.values():
+        fixed = with_param(spec.fixed, spec.free_axis.name, x1)
+        cells = ([(0.0, fixed)] if axis2 is None else
+                 [(x2, with_param(fixed, axis2.name, x2)) for x2 in axis2.values()])
+        tasks += [(_evaluate_cell, spec.target, params, one, cell_seed(mc.seed, x1, x2))
+                  for x2, params in cells]
+    return tasks
+
+
+def _fan_out(tasks: list[tuple], workers: int) -> list:
+    """Run Monte Carlo tasks in order, each whole in one process of the pool.
+
+    Each task carries settings with one worker, so no pool worker maps
+    again (a forked worker holds a copy of this process's pool, which it
+    must not use); every task is seeded from its own coordinates, so the
+    results are bit-identical for any worker count.
+    """
+    return map_ordered(_call, tasks, workers)
+
+
 def critical_curve(spec: SweepSpec, mc: MCSettings | None = None) -> list[CurvePoint]:
-    """find_critical at every abscissa of the free axis; failures become markers."""
+    """find_critical at every abscissa of the free axis; failures become
+    markers.  A Monte Carlo target's bisections run in parallel, one per
+    process."""
     if spec.solve is None:
         raise ValueError("critical_curve needs a solve block in the spec")
-    points = []
-    for a in spec.free_axis.values():
-        fixed = with_param(spec.fixed, spec.free_axis.name, a)
-        try:
-            points.append(
-                find_critical(
-                    spec.target,
-                    spec.solve.coordinate,
-                    (spec.solve.lo, spec.solve.hi),
-                    fixed,
-                    tol=spec.solve.residual_tol,
-                    coord_tol=spec.solve.coord_tol,
-                    mc=mc,
-                    abscissa=a,
-                )
-            )
-        except NoRootInBracket as exc:
-            points.append(CurvePoint(a, None, float("nan"), status=f"no-root: {exc}"))
-        except NonMonotoneTarget as exc:
-            points.append(CurvePoint(a, None, float("nan"), status=f"non-monotone: {exc}"))
-    return points
+    if spec.target in MC_TARGETS:
+        mc = _needs_mc(spec.target, mc)
+        return _fan_out(_curve_tasks(spec, mc), mc.workers)
+    return [_solve_point(spec, a, mc) for a in spec.free_axis.values()]
 
 
 @dataclass(frozen=True)
@@ -385,31 +446,28 @@ def cell_seed(mc_seed: int, x1: float, x2: float) -> int:
     return mix64(mc_seed, float_key(x1), float_key(x2))
 
 
+def _heatmap(spec: SweepSpec, evals: list[TargetEval]) -> HeatmapGrid:
+    """The grid of row-major cell evaluations."""
+    n = spec.second_axis.points
+    rows = tuple(tuple(evals[i:i + n]) for i in range(0, len(evals), n))
+    return HeatmapGrid(spec.free_axis, spec.second_axis, rows)
+
+
 def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> HeatmapGrid:
     """Row-major grid of target evaluations over free_axis x second_axis.
 
     A closed-form target is evaluated over the whole grid in one array pass,
-    bit-identical to :func:`evaluate_target` cell by cell.
+    bit-identical to :func:`evaluate_target` cell by cell; a Monte Carlo
+    target's cells run in parallel, one per process.
     """
     if spec.second_axis is None:
         raise ValueError("heatmap_grid needs a second_axis in the spec")
     if spec.target not in MC_TARGETS:
         values = _closed_form_target(
             spec.target, _cell_params(spec.fixed, spec.free_axis, spec.second_axis))
-        cells = tuple(tuple(_as_evals(row)) for row in values.tolist())
-        return HeatmapGrid(spec.free_axis, spec.second_axis, cells)
-    seed0 = mc.seed if mc else 0
-    rows = []
-    for x1 in spec.free_axis.values():
-        fixed = with_param(spec.fixed, spec.free_axis.name, x1)
-        rows.append(tuple(
-            evaluate_target(
-                spec.target, with_param(fixed, spec.second_axis.name, x2), mc=mc,
-                eval_seed=cell_seed(seed0, x1, x2),
-            )
-            for x2 in spec.second_axis.values()
-        ))
-    return HeatmapGrid(spec.free_axis, spec.second_axis, tuple(rows))
+        return _heatmap(spec, _as_evals(values.ravel().tolist()))
+    mc = _needs_mc(spec.target, mc)
+    return _heatmap(spec, _fan_out(_cell_tasks(spec, mc, spec.second_axis), mc.workers))
 
 
 def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, TargetEval]]:
@@ -419,12 +477,8 @@ def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, 
     if spec.target not in MC_TARGETS:
         values = _closed_form_target(spec.target, _cell_params(spec.fixed, spec.free_axis))
         return list(zip(xs, _as_evals(values.tolist())))
-    seed0 = mc.seed if mc else 0
-    return [
-        (x, evaluate_target(spec.target, with_param(spec.fixed, spec.free_axis.name, x),
-                            mc=mc, eval_seed=cell_seed(seed0, x, 0.0)))
-        for x in xs
-    ]
+    mc = _needs_mc(spec.target, mc)
+    return list(zip(xs, _fan_out(_cell_tasks(spec, mc, None), mc.workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +567,10 @@ def builtin_datasets(
     fig5b: combined-model heatmap and R_DM = 1 curve at testing fraction 1/5.
 
     fig3a, fig3b and fig4 are closed form; only fig5a's and fig5b's R_DM
-    datasets read the seed, the replicate count and the workers.
+    datasets read the seed, the replicate count and the workers.  Their
+    heatmap cells and curve bisections run as one map over ``workers``
+    processes, the bisections (the longest tasks) first, each task in one
+    process; the rows are bit-identical for any worker count.
     """
     mc = MCSettings(replicates, seed, workers)
     if name == "fig3a":
@@ -570,18 +627,20 @@ def _fig5_datasets(
     mc: MCSettings, curve_points: int, grid_points: int, delta: float, naive: bool
 ) -> list[SweepDataset]:
     base = _figure_base(delta=delta)
-    grid = heatmap_grid(
-        SweepSpec(
-            Target.R_DM,
-            base,
-            AxisSpec("p", 0.0, 1.0, grid_points),
-            second_axis=AxisSpec("pi", 0.0, 1.0, grid_points),
-        ),
-        mc,
+    grid_spec = SweepSpec(
+        Target.R_DM,
+        base,
+        AxisSpec("p", 0.0, 1.0, grid_points),
+        second_axis=AxisSpec("pi", 0.0, 1.0, grid_points),
     )
     solve = SolveSpec("p", 0.0, 1.0, coord_tol=5e-3)
     axis = AxisSpec("pi", 0.1, 0.9, curve_points)
-    rdm = critical_curve(SweepSpec(Target.R_DM, base, axis, solve=solve), mc)
+    curve_spec = SweepSpec(Target.R_DM, base, axis, solve=solve)
+    # one map over both datasets, the bisections (the longest tasks) first
+    curve_tasks = _curve_tasks(curve_spec, mc)
+    done = _fan_out(curve_tasks + _cell_tasks(grid_spec, mc, grid_spec.second_axis),
+                    mc.workers)
+    rdm, grid = done[:len(curve_tasks)], _heatmap(grid_spec, done[len(curve_tasks):])
     out = [
         SweepDataset("rdm_heatmap", HEATMAP_HEADER, heatmap_rows(grid)),
         SweepDataset("rdm_curve", CURVE_HEADER, curve_rows(rdm)),

@@ -188,7 +188,9 @@ def test_sweep_custom_spec_reads_seed_and_threads(capsys, tmp_path):
     ([], {"replicates": 400}, 400),
     ([], {}, 20_000),
 ])
-def test_sweep_custom_spec_reads_replicates(capsys, tmp_path, monkeypatch, argv, config, want):
+def test_sweep_custom_spec_reads_replicates(capsys, tmp_path, monkeypatch, three_cpus,
+                                           argv, config, want):
+    # the fake pool runs the sweep's tasks in this process, where the spy is
     import epict.sweep
 
     seen = []
@@ -401,6 +403,22 @@ def test_non_whole_config_integer_rejected(capsys, tmp_path, text, name):
     assert code == 1
     assert f"error: {name} must be a whole number" in err
     assert "major fraction" not in out
+
+
+@pytest.mark.parametrize("value", ["1.5", "x", ""])
+def test_non_whole_threads_flag_rejected(capsys, value):
+    # the flag's text gets the config file's message, not int()'s
+    code, out, err = run_cli(capsys, "epidemic", "--threads", value, "--n", "50")
+    assert code == 1
+    assert f"error: threads must be a whole number or 'auto', got {value!r}" in err
+    assert "invalid literal" not in err and "major fraction" not in out
+
+
+def test_epidemic_logs_the_clamped_thread_count(capsys, three_cpus):
+    code, _, err = run_cli(capsys, "epidemic", "--runs", "4", "--n", "50", "--threads", "5000")
+    assert code == 0
+    assert "[epidemic] 4 runs, n=50, threads=3\n" in err
+    assert three_cpus.sizes == [3]
 
 
 def test_whole_float_config_integers_accepted(capsys, tmp_path):

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+import epict.component
+import epict.sweep
 from epict import (
     AxisSpec,
     DivergentSeries,
@@ -668,12 +670,74 @@ PINNED_FIG3A_MANUAL = [
 
 
 def test_benchmark_critical_curves_call_pinned():
-    fig5b = builtin_datasets("fig5b", seed=7, replicates=50, workers=WORKERS,
-                             curve_points=2, grid_points=3)
-    assert [ds.suffix for ds in fig5b] == ["rdm_heatmap", "rdm_curve"]
-    assert fig5b[0].rows == PINNED_FIG5B_HEATMAP
-    assert fig5b[1].rows == PINNED_FIG5B_CURVE
-    fig3a = builtin_datasets("fig3a", seed=7, replicates=50, workers=WORKERS, curve_points=2)
-    assert [ds.suffix for ds in fig3a] == ["rd_heatmap", "digital_curve", "manual_curve"]
-    assert fig3a[1].rows == PINNED_FIG3A_DIGITAL
-    assert fig3a[2].rows == PINNED_FIG3A_MANUAL
+    # in-process and fanned out over the pool alike
+    for workers in sorted({1, WORKERS}):
+        fig5b = builtin_datasets("fig5b", seed=7, replicates=50, workers=workers,
+                                 curve_points=2, grid_points=3)
+        assert [ds.suffix for ds in fig5b] == ["rdm_heatmap", "rdm_curve"]
+        assert fig5b[0].rows == PINNED_FIG5B_HEATMAP
+        assert fig5b[1].rows == PINNED_FIG5B_CURVE
+        fig3a = builtin_datasets("fig3a", seed=7, replicates=50, workers=workers,
+                                 curve_points=2)
+        assert [ds.suffix for ds in fig3a] == ["rd_heatmap", "digital_curve", "manual_curve"]
+        assert fig3a[1].rows == PINNED_FIG3A_DIGITAL
+        assert fig3a[2].rows == PINNED_FIG3A_MANUAL
+
+
+def spy_maps(monkeypatch):
+    """Record (depth, workers) of every map_ordered call the sweep and the
+    component estimator make; depth > 0 is a call from inside a mapped task."""
+    calls, depth = [], [0]
+    original = epict.sweep.map_ordered
+
+    def spy(fn, arg_list, workers):
+        calls.append((depth[0], workers))
+        depth[0] += 1
+        try:
+            return original(fn, arg_list, workers)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(epict.sweep, "map_ordered", spy)
+    monkeypatch.setattr(epict.component, "map_ordered", spy)
+    return calls
+
+
+def test_mc_sweeps_fan_out_bit_identical_without_nested_maps(three_cpus, monkeypatch):
+    # each cell or bisection is one task in one process: one pool, and no
+    # task maps again, so the rows cannot depend on the worker count
+    fixed = with_param(FIG, "testing_fraction", 0.5)
+    specs = [
+        (heatmap_grid, SweepSpec(Target.R_DM, fixed, AxisSpec("p", 0.0, 1.0, 2),
+                                 second_axis=AxisSpec("pi", 0.0, 1.0, 3))),
+        (profile, SweepSpec(Target.R_DM, fixed, AxisSpec("pi", 0.0, 0.5, 3))),
+        (critical_curve, SweepSpec(Target.R_DM, fixed, AxisSpec("pi", 0.1, 0.5, 2),
+                                   solve=SolveSpec("p", 0.0, 1.0, coord_tol=0.05))),
+    ]
+    calls = spy_maps(monkeypatch)
+    alone = [run(spec, MCSettings(300, 11, 1)) for run, spec in specs]
+    assert three_cpus.sizes == []
+    del calls[:]
+    fanned = [run(spec, MCSettings(300, 11, 5000)) for run, spec in specs]
+    assert fanned == alone
+    assert three_cpus.sizes == [3]
+    assert [w for d, w in calls if d == 0] == [5000] * 3
+    inner = [w for d, w in calls if d > 0]
+    assert inner and set(inner) == {1}
+    assert [p.status for p in fanned[2]] == ["ok", "ok"]
+
+
+def test_curve_markers_come_back_through_the_fan_out(three_cpus):
+    # at testing fraction 0.2 the combined number rises then collapses in pi
+    # when p = 0.1, and at p = 1 it is exactly 0 for every pi
+    fixed = with_param(FIG, "testing_fraction", 0.2)
+    spec = SweepSpec(Target.R_DM, fixed, AxisSpec("p", 0.1, 1.0, 2),
+                     solve=SolveSpec("pi", 0.05, 0.95, coord_tol=0.02))
+    points = critical_curve(spec, MCSettings(2_000, 31, 5000))
+    assert three_cpus.sizes == [3]
+    assert [p.abscissa for p in points] == [0.1, 1.0]
+    assert points[0].status.startswith("non-monotone: ")
+    assert points[1].status.startswith("no-root: ")
+    assert all(p.critical_value is None for p in points)
+    rows = curve_rows(points)
+    assert [row[1:5] for row in rows] == [[None] * 4] * 2

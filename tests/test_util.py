@@ -10,8 +10,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from epict import Params, _util, cli, ensemble_outcomes
 from epict._util import Estimate
 
@@ -58,33 +56,6 @@ def test_pool_reused_replaced_when_broken_and_gone_at_exit():
     old, new = set(got["old"]), set(got["new"])
     assert len(old) <= 2 and len(new) <= 2 and not old & new
     assert not [p for p in old | new if alive(p)]
-
-
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-        self._broken = False
-
-    def map(self, fn, args):
-        return map(fn, args)
-
-    def shutdown(self):
-        pass
-
-
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """Three usable CPUs and a fake pool, so that no process starts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(_util, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(_util, "_pool", None)
-    monkeypatch.setattr(_util, "_pool_workers", 0)
-    FakePool.sizes = []
-    return FakePool
 
 
 def test_worker_count_clamped_to_usable_cpus(three_cpus):
