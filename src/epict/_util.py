@@ -123,6 +123,12 @@ def usable_workers(requested: float = math.inf) -> int:
 
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
+_in_worker = False  # set in each pool worker by the pool's initializer
+
+
+def _mark_worker():
+    global _in_worker
+    _in_worker = True
 
 
 def map_ordered(fn, arg_list, workers: int):
@@ -132,13 +138,20 @@ def map_ordered(fn, arg_list, workers: int):
     started by the first call that needs one and kept for the calls after
     it; it is replaced when the worker count changes or a worker died, and
     shut down when the interpreter exits.
+
+    Inside a pool worker every map runs in-process, whatever ``workers``
+    says: a forked worker holds a copy of this process's pool, which it must
+    not use, and a task that is already one of ``workers`` parallel tasks
+    gains nothing from more.  Callers therefore pass their worker count
+    down unchanged; results never depend on where a map runs.
     """
     global _pool, _pool_workers
     workers = usable_workers(workers)
-    if workers <= 1 or len(arg_list) <= 1:
+    if workers <= 1 or len(arg_list) <= 1 or _in_worker:
         return [fn(a) for a in arg_list]
     if _pool is None or _pool_workers != workers or _pool._broken:
         if _pool is not None:
             _pool.shutdown()
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+        _pool = ProcessPoolExecutor(max_workers=workers, initializer=_mark_worker)
+        _pool_workers = workers
     return list(_pool.map(fn, arg_list))

@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
@@ -48,7 +48,6 @@ from .params import (
     _keys,
     _whole,
     params_from_dict,
-    params_to_dict,
     r0,
 )
 from .sweep import (
@@ -231,7 +230,7 @@ def cmd_analytic(opts: argparse.Namespace) -> int:
     p = opts.params
     matrix = offspring_matrix_digital(p)
     report = {
-        "params": params_to_dict(p),
+        "params": asdict(p),
         "r0": r0(p),
         "offspring_matrix": {
             "m11": matrix.m11,
@@ -271,7 +270,7 @@ def cmd_component_mc(opts: argparse.Namespace) -> int:
     naive = naive_combined_r(p)
     m = est.matrix
     report = {
-        "params": params_to_dict(p),
+        "params": asdict(p),
         "replicates": opts.replicates,
         "matrix": {
             "mean": [m.mean.m11, m.mean.m12, m.mean.m21, m.mean.m22],
@@ -321,7 +320,7 @@ def cmd_epidemic(opts: argparse.Namespace) -> int:
     outcomes = ensemble_outcomes(p, opts.runs, opts.seed, workers=opts.threads)
     summary = summarize_ensemble(outcomes, p.n)
     report = {
-        "params": params_to_dict(p),
+        "params": asdict(p),
         "runs": summary.runs,
         "seed": opts.seed,
         "major_threshold": MAJOR_THRESHOLD,

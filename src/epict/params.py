@@ -10,7 +10,6 @@ individual's contact is reached by manual tracing with probability ``p``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from collections.abc import Sequence
@@ -195,21 +194,6 @@ def params_from_dict(obj: dict, base: Params | None = None) -> Params:
     _keys(obj, "parameters", () if base else _RATE_KEYS, PARAM_KEYS, key="parameter")
     if base is None:
         return Params(**{k: _number(k, obj[k]) for k in _RATE_KEYS}, n=obj.get("n", 1))
-    merged = params_to_dict(base)
+    merged = dataclasses.asdict(base)
     merged.update(obj)
     return params_from_dict(merged)
-
-
-def params_from_json(text: str) -> Params:
-    return params_from_dict(json.loads(text))
-
-
-def params_to_dict(params: Params) -> dict:
-    return {
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "delta": params.delta,
-        "pi": params.pi,
-        "p": params.p,
-        "n": params.n,
-    }

@@ -18,15 +18,17 @@ not from the sweep spec.  Every Monte Carlo evaluation is seeded from the
 sweep seed and the exact float bit patterns of its coordinates, so any
 published cell or curve point can be recomputed bit-exactly in isolation.
 
-The Monte Carlo points of a sweep are therefore independent tasks: each
-heatmap or profile cell, and each curve point's whole bisection with its
-escalations, runs in one process, and the tasks fan out over the process
-pool of ``_util.map_ordered`` with ``workers`` processes.  A task estimates
-with one worker, so no pool worker maps again; a direct call of
-:func:`find_critical` or :func:`evaluate_target` still splits an estimate
-of more than one chunk over the workers.  Closed-form points cost
-microseconds and stay in-process.  Results are bit-identical for any worker
-count.
+Each entry point decides once whether its target is closed form or Monte
+Carlo (:func:`_mc_for`).  A closed-form heatmap or profile is one array
+pass, and a closed-form curve solves its points in-process.  The Monte Carlo
+points of a sweep are independent tasks: each heatmap or profile cell, and
+each curve point's whole bisection with its escalations, runs in one
+process, and the tasks fan out over the process pool of
+``_util.map_ordered`` with ``workers`` processes.  A map inside a pool
+worker runs in-process, so a task's estimate does not split again; a direct
+call of :func:`find_critical` or :func:`evaluate_target` still splits an
+estimate of more than one chunk over the workers.  Results are bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class Target(enum.Enum):
     NAIVE_PRODUCT = "NaiveProduct"
 
 
-MC_TARGETS = (Target.R_DM,)
 MAX_ESCALATIONS = 2  # replicate count grows 4x per escalation
 DECISION_Z = 3.0     # half-width, in standard errors, of the interval that picks a side
 DEFAULT_REPLICATES = 20_000
@@ -158,15 +159,20 @@ def spec_from_json(text: str) -> SweepSpec:
     )
 
 
-@dataclass(frozen=True, kw_only=True)
 class TargetEval(Estimate):
-    """A target's value and standard error (0 for a closed form), and
-    whether it was ``ok`` or ``divergent``."""
+    """A target's value and standard error (0 for a closed form); a
+    divergent target reads +inf."""
 
-    status: str = "ok"
+    @property
+    def status(self) -> str:
+        return "divergent" if self.value == math.inf else "ok"
 
 
-def _needs_mc(target: Target, mc: MCSettings | None) -> MCSettings:
+def _mc_for(target: Target, mc: MCSettings | None) -> MCSettings | None:
+    """The Monte Carlo settings ``target`` is evaluated with: ``mc`` for the
+    combined model, which needs them, and None for a closed form."""
+    if target is not Target.R_DM:
+        return None
     if mc is None:
         raise ValueError(f"target {target.value} needs mc settings")
     return mc
@@ -186,15 +192,15 @@ def evaluate_target(
     without bound, so for threshold purposes the target is above 1.  A
     closed-form value has standard error 0.
     """
+    mc = _mc_for(target, mc)
     try:
-        if target in MC_TARGETS:
-            mc = _needs_mc(target, mc)
-            reps = replicates if replicates is not None else mc.replicates
-            est = r_component_combined(params, reps, seed=eval_seed, workers=mc.workers)
-            return TargetEval(est.value, est.se)
-        return TargetEval(_closed_form_target(target, params))
+        if mc is None:
+            return TargetEval(_closed_form_target(target, params))
+        reps = replicates if replicates is not None else mc.replicates
+        est = r_component_combined(params, reps, seed=eval_seed, workers=mc.workers)
+        return TargetEval(est.value, est.se)
     except DivergentSeries:
-        return TargetEval(math.inf, status="divergent")
+        return TargetEval(math.inf)
 
 
 def _closed_form_target(target: Target, params: Params | ParamArrays):
@@ -212,12 +218,6 @@ def _cell_params(fixed: Params, axis1: AxisSpec, axis2: AxisSpec | None = None) 
     """Every cell of a profile (axis1) or a row-major grid (axis1 x axis2)."""
     second = None if axis2 is None else (axis2.name, axis2.values())
     return param_grid(fixed, (axis1.name, axis1.values()), second)
-
-
-def _as_evals(values: list[float]) -> list[TargetEval]:
-    """Closed-form values as evaluations; +inf marks a divergent one."""
-    return [TargetEval(v) if v != math.inf else TargetEval(v, status="divergent")
-            for v in values]
 
 
 @dataclass(frozen=True)
@@ -280,9 +280,9 @@ def find_critical(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    sampled = target in MC_TARGETS
+    mc = _mc_for(target, mc)
+    sampled = mc is not None
     if sampled:
-        mc = _needs_mc(target, mc)
         tol = 0.0  # the interval itself carries the uncertainty
 
     def evaluate_once(x):
@@ -388,57 +388,32 @@ def _call(task):
     return fn(*args)
 
 
-def _curve_tasks(spec: SweepSpec, mc: MCSettings) -> list[tuple]:
+def _curve_tasks(spec: SweepSpec, mc: MCSettings | None) -> list[tuple]:
     """One task per abscissa: a whole bisection, escalations included."""
-    one = replace(mc, workers=1)
-    return [(_solve_point, spec, a, one) for a in spec.free_axis.values()]
+    return [(_solve_point, spec, a, mc) for a in spec.free_axis.values()]
 
 
 def _cell_tasks(spec: SweepSpec, mc: MCSettings, axis2: AxisSpec | None) -> list[tuple]:
     """One evaluation task per cell, row-major over free_axis x axis2, or
     along free_axis, where a cell is seeded as at second coordinate 0."""
-    one = replace(mc, workers=1)
     tasks = []
     for x1 in spec.free_axis.values():
         fixed = with_param(spec.fixed, spec.free_axis.name, x1)
         cells = ([(0.0, fixed)] if axis2 is None else
                  [(x2, with_param(fixed, axis2.name, x2)) for x2 in axis2.values()])
-        tasks += [(_evaluate_cell, spec.target, params, one, cell_seed(mc.seed, x1, x2))
+        tasks += [(_evaluate_cell, spec.target, params, mc, cell_seed(mc.seed, x1, x2))
                   for x2, params in cells]
     return tasks
-
-
-def _fan_out(tasks: list[tuple], workers: int) -> list:
-    """Run Monte Carlo tasks in order, each whole in one process of the pool.
-
-    Each task carries settings with one worker, so no pool worker maps
-    again (a forked worker holds a copy of this process's pool, which it
-    must not use); every task is seeded from its own coordinates, so the
-    results are bit-identical for any worker count.
-    """
-    return map_ordered(_call, tasks, workers)
 
 
 def critical_curve(spec: SweepSpec, mc: MCSettings | None = None) -> list[CurvePoint]:
     """find_critical at every abscissa of the free axis; failures become
     markers.  A Monte Carlo target's bisections run in parallel, one per
-    process."""
+    process; a closed-form target's run in-process."""
     if spec.solve is None:
         raise ValueError("critical_curve needs a solve block in the spec")
-    if spec.target in MC_TARGETS:
-        mc = _needs_mc(spec.target, mc)
-        return _fan_out(_curve_tasks(spec, mc), mc.workers)
-    return [_solve_point(spec, a, mc) for a in spec.free_axis.values()]
-
-
-@dataclass(frozen=True)
-class HeatmapGrid:
-    axis1: AxisSpec
-    axis2: AxisSpec
-    cells: tuple  # row-major: cells[i][j] pairs with (axis1[i], axis2[j])
-
-    def cell(self, i: int, j: int) -> TargetEval:
-        return self.cells[i][j]
+    mc = _mc_for(spec.target, mc)
+    return map_ordered(_call, _curve_tasks(spec, mc), 1 if mc is None else mc.workers)
 
 
 def cell_seed(mc_seed: int, x1: float, x2: float) -> int:
@@ -446,39 +421,34 @@ def cell_seed(mc_seed: int, x1: float, x2: float) -> int:
     return mix64(mc_seed, float_key(x1), float_key(x2))
 
 
-def _heatmap(spec: SweepSpec, evals: list[TargetEval]) -> HeatmapGrid:
-    """The grid of row-major cell evaluations."""
+def _cells(spec: SweepSpec, mc: MCSettings | None, axis2: AxisSpec | None) -> list[TargetEval]:
+    """Target evaluations row-major over free_axis x axis2, or along
+    free_axis.  A closed-form target is evaluated over every cell in one
+    array pass, bit-identical to :func:`evaluate_target` cell by cell; a
+    Monte Carlo target's cells run in parallel, one per process."""
+    mc = _mc_for(spec.target, mc)
+    if mc is None:
+        values = _closed_form_target(spec.target, _cell_params(spec.fixed, spec.free_axis, axis2))
+        return [TargetEval(v) for v in values.ravel().tolist()]
+    return map_ordered(_call, _cell_tasks(spec, mc, axis2), mc.workers)
+
+
+def _grid_rows(spec: SweepSpec, cells: list[TargetEval]) -> tuple:
     n = spec.second_axis.points
-    rows = tuple(tuple(evals[i:i + n]) for i in range(0, len(evals), n))
-    return HeatmapGrid(spec.free_axis, spec.second_axis, rows)
+    return tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
 
 
-def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> HeatmapGrid:
-    """Row-major grid of target evaluations over free_axis x second_axis.
-
-    A closed-form target is evaluated over the whole grid in one array pass,
-    bit-identical to :func:`evaluate_target` cell by cell; a Monte Carlo
-    target's cells run in parallel, one per process.
-    """
+def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> tuple:
+    """Target evaluations over free_axis x second_axis, row-major: row i
+    holds the cells at free_axis[i], its cell j the one at second_axis[j]."""
     if spec.second_axis is None:
         raise ValueError("heatmap_grid needs a second_axis in the spec")
-    if spec.target not in MC_TARGETS:
-        values = _closed_form_target(
-            spec.target, _cell_params(spec.fixed, spec.free_axis, spec.second_axis))
-        return _heatmap(spec, _as_evals(values.ravel().tolist()))
-    mc = _needs_mc(spec.target, mc)
-    return _heatmap(spec, _fan_out(_cell_tasks(spec, mc, spec.second_axis), mc.workers))
+    return _grid_rows(spec, _cells(spec, mc, spec.second_axis))
 
 
 def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, TargetEval]]:
-    """Target values along the free axis (no solving, no second axis); a
-    closed-form target in one array pass, as in :func:`heatmap_grid`."""
-    xs = spec.free_axis.values()
-    if spec.target not in MC_TARGETS:
-        values = _closed_form_target(spec.target, _cell_params(spec.fixed, spec.free_axis))
-        return list(zip(xs, _as_evals(values.tolist())))
-    mc = _needs_mc(spec.target, mc)
-    return list(zip(xs, _fan_out(_cell_tasks(spec, mc, None), mc.workers)))
+    """Target values along the free axis (no solving, no second axis)."""
+    return list(zip(spec.free_axis.values(), _cells(spec, mc, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +478,10 @@ def curve_rows(points: list[CurvePoint]) -> list[list]:
     ]
 
 
-def heatmap_rows(grid: HeatmapGrid) -> list[list]:
+def heatmap_rows(spec: SweepSpec, grid: tuple) -> list[list]:
     rows = []
-    for x1, row in zip(grid.axis1.values(), grid.cells):
-        for x2, ev in zip(grid.axis2.values(), row):
+    for x1, row in zip(spec.free_axis.values(), grid):
+        for x2, ev in zip(spec.second_axis.values(), row):
             low, high = ev.interval()
             rows.append([x1, x2, _num(ev.value), _num(low), _num(high), ev.status])
     return rows
@@ -523,7 +493,8 @@ def spec_dataset(spec: SweepSpec, mc: MCSettings) -> SweepDataset:
     if spec.solve is not None:
         return SweepDataset("curve", CURVE_HEADER, curve_rows(critical_curve(spec, mc)))
     if spec.second_axis is not None:
-        return SweepDataset("heatmap", HEATMAP_HEADER, heatmap_rows(heatmap_grid(spec, mc)))
+        return SweepDataset("heatmap", HEATMAP_HEADER,
+                            heatmap_rows(spec, heatmap_grid(spec, mc)))
     rows = []
     for x, ev in profile(spec, mc):
         low, high = ev.interval()
@@ -603,15 +574,14 @@ def _fig3_datasets(curve_points: int, squared: bool) -> list[SweepDataset]:
         SweepDataset("manual_curve", CURVE_HEADER, curve_rows(manual)),
     ]
     if not squared:
-        grid = heatmap_grid(
-            SweepSpec(
-                Target.R_D,
-                base,
-                AxisSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION, 43),
-                second_axis=AxisSpec("pi", 0.0, 1.0, 51),
-            )
+        spec = SweepSpec(
+            Target.R_D,
+            base,
+            AxisSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION, 43),
+            second_axis=AxisSpec("pi", 0.0, 1.0, 51),
         )
-        out.insert(0, SweepDataset("rd_heatmap", HEATMAP_HEADER, heatmap_rows(grid)))
+        rows = heatmap_rows(spec, heatmap_grid(spec))
+        out.insert(0, SweepDataset("rd_heatmap", HEATMAP_HEADER, rows))
     return out
 
 
@@ -638,11 +608,11 @@ def _fig5_datasets(
     curve_spec = SweepSpec(Target.R_DM, base, axis, solve=solve)
     # one map over both datasets, the bisections (the longest tasks) first
     curve_tasks = _curve_tasks(curve_spec, mc)
-    done = _fan_out(curve_tasks + _cell_tasks(grid_spec, mc, grid_spec.second_axis),
-                    mc.workers)
-    rdm, grid = done[:len(curve_tasks)], _heatmap(grid_spec, done[len(curve_tasks):])
+    done = map_ordered(_call, curve_tasks + _cell_tasks(grid_spec, mc, grid_spec.second_axis),
+                       mc.workers)
+    rdm, grid = done[:len(curve_tasks)], _grid_rows(grid_spec, done[len(curve_tasks):])
     out = [
-        SweepDataset("rdm_heatmap", HEATMAP_HEADER, heatmap_rows(grid)),
+        SweepDataset("rdm_heatmap", HEATMAP_HEADER, heatmap_rows(grid_spec, grid)),
         SweepDataset("rdm_curve", CURVE_HEADER, curve_rows(rdm)),
     ]
     if naive:

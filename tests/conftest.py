@@ -20,16 +20,26 @@ def figure_params() -> Params:
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and counts its
+    maps, and runs each map in-process as a pool worker would, after the
+    pool's initializer."""
 
     sizes = []
+    maps = 0
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
         self.sizes.append(max_workers)
         self._broken = False
+        self._initializer = initializer
 
     def map(self, fn, args):
-        return map(fn, args)
+        FakePool.maps += 1
+        marked = _util._in_worker
+        try:
+            self._initializer()
+            return [fn(a) for a in args]
+        finally:
+            _util._in_worker = marked
 
     def shutdown(self):
         pass
@@ -42,5 +52,5 @@ def three_cpus(monkeypatch):
     monkeypatch.setattr(_util, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(_util, "_pool", None)
     monkeypatch.setattr(_util, "_pool_workers", 0)
-    FakePool.sizes = []
+    FakePool.sizes, FakePool.maps = [], 0
     return FakePool

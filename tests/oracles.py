@@ -28,12 +28,12 @@ import random
 
 import numpy as np
 
-from epict import (
-    DIAGNOSED, INFECTIOUS, RECOVERED, EpidemicOutcome, EpidemicRecords, Params,
-    offspring_matrix_digital,
-)
+from epict import Params, offspring_matrix_digital
 from epict._util import mix64, stream_uniforms
-from epict.epidemic import _HOLD_TAG, trace_closure
+from epict.epidemic import (
+    _HOLD_TAG, DIAGNOSED, INFECTIOUS, RECOVERED, EpidemicOutcome, EpidemicRecords,
+    trace_closure,
+)
 
 
 def tail_prob_jumps(k: int, params: Params) -> float:

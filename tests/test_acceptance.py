@@ -30,12 +30,12 @@ from epict import (
     r_component_combined,
     r_component_digital,
     r_individual_digital,
+    r_manual,
     run_ensemble,
-    run_epidemic,
     with_param,
 )
 from epict.digital import _spectral_radius
-from epict.epidemic import ensemble_outcomes
+from epict.epidemic import ensemble_outcomes, run_epidemic
 
 from conftest import WORKERS
 from oracles import assert_closure_fixed_point, run_epidemic_tree, tail_prob_jumps
@@ -190,12 +190,8 @@ def test_criterion_4_combined_beats_product(reference_mc):
     ok_curve = True
     base = r0(FIGURE)
     for i, p in enumerate((0.15, 0.3, 0.45, 0.6, 0.75)):
-        manual = r_component_combined(
-            dataclasses.replace(FIGURE, pi=0.0, p=p), 200_000,
-            seed=4100 + i, workers=WORKERS,
-        )
         # point on the independence-product-equals-1 curve: R_D(pi*) R_M(p)/R_0 = 1
-        pi_star = _solve_digital_level(base / manual.value)
+        pi_star = _solve_digital_level(base / r_manual(dataclasses.replace(FIGURE, p=p)))
         est = r_component_combined(
             dataclasses.replace(FIGURE, pi=pi_star, p=p), 200_000,
             seed=4200 + i, workers=WORKERS,

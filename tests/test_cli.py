@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from epict import EpidemicOutcome, summarize_ensemble
+from epict.epidemic import EpidemicOutcome, summarize_ensemble
 from epict.cli import DEFAULT_PARAMS, main
 
 

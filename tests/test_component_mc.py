@@ -23,22 +23,20 @@ from epict import (
     DivergentSeries,
     EventCapExceeded,
     Params,
-    RootType,
-    component_dies_out,
-    component_growth_bound,
     delta_for_testing_fraction,
     estimate_offspring_matrix,
-    independence_product,
     naive_combined_r,
     offspring_matrix_digital,
     r0,
     r_component_combined,
     r_component_digital,
     r_manual,
-    simulate_components,
 )
 from epict import component
-from epict.component import _BLOCK, _CHUNK
+from epict.component import (
+    _BLOCK, _CHUNK, RootType, component_dies_out, component_growth_bound, simulate_components,
+)
+from epict.digital import independence_product
 
 from conftest import WORKERS
 from oracles import manual_r_by_series, tail_prob_jumps

@@ -17,7 +17,6 @@ import pytest
 from epict import (
     DivergentSeries,
     Params,
-    RootType,
     expected_jumps,
     mean_component_size,
     mean_infections_per_jump,
@@ -25,10 +24,9 @@ from epict import (
     r0,
     r_component_digital,
     r_individual_digital,
-    simulate_components,
-    spectral_radius_2x2,
 )
-from epict.digital import OffspringMatrix, _spectral_radius
+from epict.component import RootType, simulate_components
+from epict.digital import OffspringMatrix, _spectral_radius, spectral_radius_2x2
 
 from conftest import WORKERS
 from oracles import tail_prob_jumps

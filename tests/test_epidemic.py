@@ -10,22 +10,19 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from epict import (
+from epict import InvalidParams, Params, r0, run_ensemble
+from epict.epidemic import (
     DIAGNOSED,
     INFECTIOUS,
     RECOVERED,
     EpidemicOutcome,
     EpidemicRecords,
-    InvalidParams,
-    Params,
     ensemble_outcomes,
-    r0,
-    run_ensemble,
     run_epidemic,
+    run_seed,
     summarize_ensemble,
     trace_closure,
 )
-from epict.epidemic import run_seed
 
 from conftest import WORKERS
 from oracles import assert_closure_fixed_point, run_epidemic_tree, untraced_law

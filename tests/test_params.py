@@ -1,27 +1,19 @@
 import dataclasses
+import json
 import math
 import re
 
 import pytest
 
-from epict import (
-    InvalidParams,
-    Params,
-    delta_for_testing_fraction,
-    params_from_dict,
-    params_from_json,
-    params_to_dict,
-    r0,
-    testing_fraction,
-    with_param,
-)
+from epict import InvalidParams, Params, delta_for_testing_fraction, r0, with_param
+from epict.params import params_from_dict, testing_fraction
 
 
 def test_valid_params_pass_unchanged():
     p = Params(beta=6 / 7, gamma=1 / 7, delta=1 / 7, pi=0.5, p=0.5, n=5000)
-    assert params_to_dict(p) == {
-        "beta": 6 / 7, "gamma": 1 / 7, "delta": 1 / 7, "pi": 0.5, "p": 0.5, "n": 5000
-    }
+    assert list(dataclasses.asdict(p).items()) == [
+        ("beta", 6 / 7), ("gamma", 1 / 7), ("delta", 1 / 7), ("pi", 0.5), ("p", 0.5), ("n", 5000)
+    ]
     # the closed ends of every bound are valid
     Params(beta=0.0, gamma=1e-9, delta=0.0, pi=0.0, p=1.0, n=1)
     Params(beta=1.0, gamma=1.0, delta=1.0, pi=1.0, p=0.0, n=1)
@@ -100,9 +92,7 @@ def test_testing_fraction_round_trip(delta):
 
 def test_json_round_trip():
     p = Params(0.8, 1 / 7, 1 / 7, 2 / 3, 1 / 3, 5000)
-    import json
-
-    q = params_from_json(json.dumps(params_to_dict(p)))
+    q = params_from_dict(json.loads(json.dumps(dataclasses.asdict(p))))
     assert q == p
 
 
@@ -144,7 +134,7 @@ def test_non_integral_n_rejected(n):
     with pytest.raises(InvalidParams, match="n must be a positive integer"):
         dataclasses.replace(base, n=n)
     with pytest.raises(InvalidParams, match="n must be a positive integer"):
-        params_from_dict(dict(params_to_dict(base), n=n))
+        params_from_dict(dict(dataclasses.asdict(base), n=n))
     with pytest.raises(InvalidParams, match="n must be a positive integer"):
         with_param(base, "n", n)
 
@@ -168,9 +158,9 @@ def test_non_number_json_values_rejected(key, value, message):
     with pytest.raises(InvalidParams, match=re.escape(message)):
         params_from_dict({key: value}, base=base)
     with pytest.raises(InvalidParams, match=re.escape(message)):
-        params_from_dict(dict(params_to_dict(base), **{key: value}))
+        params_from_dict(dict(dataclasses.asdict(base), **{key: value}))
 
 
 def test_params_json_must_be_an_object():
     with pytest.raises(InvalidParams, match="must be a JSON object"):
-        params_from_json("[1, 2]")
+        params_from_dict(json.loads("[1, 2]"))

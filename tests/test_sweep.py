@@ -10,35 +10,27 @@ import pytest
 import epict.component
 import epict.sweep
 from epict import (
-    AxisSpec,
     DivergentSeries,
     InvalidParams,
     MCSettings,
     NonMonotoneTarget,
     NoRootInBracket,
     Params,
-    SolveSpec,
-    SweepSpec,
     Target,
-    component_dies_out,
-    critical_curve,
-    delta_for_testing_fraction,
-    evaluate_target,
     find_critical,
-    heatmap_grid,
     naive_combined_r,
-    profile,
     r0,
     r_component_combined,
     r_component_digital,
     r_individual_digital,
     r_manual,
-    spec_from_json,
     with_param,
 )
+from epict.component import component_dies_out
 from epict.sweep import (
-    MAX_ESCALATIONS, TargetEval, _point_seed, builtin_datasets, cell_seed, curve_rows,
-    heatmap_rows, spec_dataset,
+    MAX_ESCALATIONS, AxisSpec, SolveSpec, SweepSpec, TargetEval, _point_seed, builtin_datasets,
+    cell_seed, critical_curve, curve_rows, evaluate_target, heatmap_grid, heatmap_rows, profile,
+    spec_dataset, spec_from_json,
 )
 
 from conftest import WORKERS
@@ -283,19 +275,19 @@ def test_heatmap_divergent_sentinel_and_purity():
     )
     grid = heatmap_grid(spec)
     # at testing fraction 0, app fractions with beta*pi >= gamma diverge
-    statuses = [ev.status for ev in grid.cells[0]]
+    statuses = [ev.status for ev in grid[0]]
     assert statuses[0] == "ok"          # pi=0
     assert "divergent" in statuses      # large pi
-    divergent = [ev for ev in grid.cells[0] if ev.status == "divergent"]
+    divergent = [ev for ev in grid[0] if ev.status == "divergent"]
     assert all(math.isinf(ev.value) for ev in divergent)
     # re-running a single cell reproduces it bit-exactly
     i, j = 1, 2
-    x1 = grid.axis1.values()[i]
-    x2 = grid.axis2.values()[j]
+    x1 = spec.free_axis.values()[i]
+    x2 = spec.second_axis.values()[j]
     params = with_param(with_param(FIG, "testing_fraction", x1), "pi", x2)
     again = evaluate_target(Target.R_D, params, eval_seed=cell_seed(0, x1, x2))
-    assert again == grid.cell(i, j)
-    rows = heatmap_rows(grid)
+    assert again == grid[i][j]
+    rows = heatmap_rows(spec, grid)
     assert len(rows) == 15 and len(rows[0]) == 6
 
 
@@ -307,7 +299,7 @@ def test_heatmap_rd_shows_low_testing_non_monotone_band():
         second_axis=AxisSpec("pi", 0.1, 0.9, 9),
     )
     grid = heatmap_grid(spec)
-    low = [ev.value for ev in grid.cells[0]]
+    low = [ev.value for ev in grid[0]]
     diffs = [b - a for a, b in zip(low, low[1:])]
     assert any(d > 0 for d in diffs) and any(d < 0 for d in diffs)
     # and the individual-level number stays monotone on the same row
@@ -317,7 +309,7 @@ def test_heatmap_rd_shows_low_testing_non_monotone_band():
         free_axis=spec.free_axis,
         second_axis=spec.second_axis,
     )
-    rows_ind = heatmap_grid(spec_ind).cells
+    rows_ind = heatmap_grid(spec_ind)
     for row in rows_ind:
         vals = [ev.value for ev in row if ev.status == "ok"]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
@@ -389,9 +381,9 @@ NAIVE_GRID = SweepSpec(
         "R_D-pi-x-p", "R_M-testing-x-pi", "R_D-pi-x-n", "naive-delta-0"])
 def test_closed_form_heatmap_equals_scalar_cells_bit_for_bit(spec):
     grid = heatmap_grid(spec)
-    assert bits(grid.cells) == bits(cell_by_cell(spec))
-    assert [len(row) for row in grid.cells] == [spec.second_axis.points] * spec.free_axis.points
-    assert all(type(ev.value) is float for row in grid.cells for ev in row)
+    assert bits(grid) == bits(cell_by_cell(spec))
+    assert [len(row) for row in grid] == [spec.second_axis.points] * spec.free_axis.points
+    assert all(type(ev.value) is float for row in grid for ev in row)
 
 
 def test_closed_form_heatmap_divergent_and_full_coverage_cells():
@@ -400,9 +392,9 @@ def test_closed_form_heatmap_divergent_and_full_coverage_cells():
     # R_D is 0 (no non-app-users), while R_ind_D still divides by the
     # divergent cluster size; R_M does the same in p.
     grids = {
-        "R_D": heatmap_grid(FIG3A_GRID).cells,
-        "R_ind_D": heatmap_grid(replace(FIG3A_GRID, target=Target.R_IND_D)).cells,
-        "R_M": heatmap_grid(RM_GRID).cells,
+        "R_D": heatmap_grid(FIG3A_GRID),
+        "R_ind_D": heatmap_grid(replace(FIG3A_GRID, target=Target.R_IND_D)),
+        "R_M": heatmap_grid(RM_GRID),
     }
     divergent = {name: [j for j, ev in enumerate(cells[0]) if ev.status == "divergent"]
                  for name, cells in grids.items()}
@@ -419,17 +411,17 @@ def test_naive_product_heatmap_equals_the_exact_product_cell_by_cell():
     spec = SweepSpec(Target.NAIVE_PRODUCT, with_param(FIG, "testing_fraction", 0.5),
                      AxisSpec("p", 0.0, 1.0, 11), second_axis=AxisSpec("pi", 0.0, 1.0, 11))
     grid = heatmap_grid(spec)
-    for x1, row in zip(spec.free_axis.values(), grid.cells):
+    for x1, row in zip(spec.free_axis.values(), grid):
         for x2, ev in zip(spec.second_axis.values(), row):
             est = naive_combined_r(with_param(with_param(spec.fixed, "p", x1), "pi", x2))
             assert ev == TargetEval(est.value) and ev.value.hex() == est.value.hex()
     # the corners: p = 0 is R_D, pi = 0 is R_M, p = 1 or pi = 1 is 0
-    assert [ev.value for ev in grid.cells[0]] == [
+    assert [ev.value for ev in grid[0]] == [
         r_component_digital(with_param(spec.fixed, "pi", x)) for x in spec.second_axis.values()]
-    assert [row[0].value for row in grid.cells] == [
+    assert [row[0].value for row in grid] == [
         r_manual(with_param(spec.fixed, "p", x)) for x in spec.free_axis.values()]
-    assert [ev.value for ev in grid.cells[-1]] == [0.0] * 11
-    assert [row[-1].value for row in grid.cells] == [0.0] * 11
+    assert [ev.value for ev in grid[-1]] == [0.0] * 11
+    assert [row[-1].value for row in grid] == [0.0] * 11
 
 
 @pytest.mark.parametrize("pi", [0.0, 0.1, 0.3, 1.0])
@@ -439,7 +431,7 @@ def test_naive_product_divergent_where_the_monte_carlo_route_was(pi):
     # One column differs: at p = 1 a manual component exports nothing, so
     # R_M is exactly 0 (as r_manual has it) even where the component grows
     # forever, which the Monte Carlo factor refused to simulate
-    cells = heatmap_grid(replace(NAIVE_GRID, fixed=with_param(FIG, "pi", pi))).cells
+    cells = heatmap_grid(replace(NAIVE_GRID, fixed=with_param(FIG, "pi", pi)))
     for x1, row in zip(NAIVE_GRID.free_axis.values(), cells):
         for p, ev in zip(NAIVE_GRID.second_axis.values(), row):
             params = with_param(with_param(with_param(FIG, "pi", pi), "p", p),
@@ -624,9 +616,30 @@ def test_solve_spec_rejects_unusable_tolerances(kwargs, message):
         SolveSpec(**{**args, **kwargs})
 
 
-def test_mc_target_requires_settings():
+MC_SPEC = SweepSpec(Target.R_DM, FIG, AxisSpec("pi", 0.1, 0.9, 2),
+                    second_axis=AxisSpec("p", 0.0, 1.0, 2), solve=SolveSpec("p", 0.0, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate_target(Target.R_DM, FIG),
+    lambda: find_critical(Target.R_DM, "p", (0.0, 1.0), FIG),
+    lambda: critical_curve(MC_SPEC),
+    lambda: heatmap_grid(MC_SPEC),
+    lambda: profile(MC_SPEC),
+], ids=["evaluate_target", "find_critical", "critical_curve", "heatmap_grid", "profile"])
+def test_mc_target_requires_settings(call):
     with pytest.raises(ValueError, match="needs mc settings"):
-        find_critical(Target.R_DM, "p", (0.0, 1.0), FIG)
+        call()
+
+
+def test_mc_target_divergent_without_diagnosis():
+    # delta = 0 with supercritical within-component growth: the component
+    # estimator refuses to simulate, and the evaluation reads +inf
+    params = Params(6 / 7, 1 / 7, 0.0, 0.9, 0.5, 1)
+    assert not component_dies_out(params)
+    ev = evaluate_target(Target.R_DM, params, mc=MCSettings(100, 3, 1))
+    assert ev == TargetEval(math.inf) and ev.status == "divergent"
+    assert TargetEval(1.0, 0.5).status == "ok" and TargetEval(-math.inf).status == "ok"
 
 
 def test_axis_validation():
@@ -704,8 +717,9 @@ def spy_maps(monkeypatch):
 
 
 def test_mc_sweeps_fan_out_bit_identical_without_nested_maps(three_cpus, monkeypatch):
-    # each cell or bisection is one task in one process: one pool, and no
-    # task maps again, so the rows cannot depend on the worker count
+    # each cell or bisection is one task in one process: one pool, and a
+    # task's own maps run in-process, so the rows cannot depend on the
+    # worker count
     fixed = with_param(FIG, "testing_fraction", 0.5)
     specs = [
         (heatmap_grid, SweepSpec(Target.R_DM, fixed, AxisSpec("p", 0.0, 1.0, 2),
@@ -714,6 +728,9 @@ def test_mc_sweeps_fan_out_bit_identical_without_nested_maps(three_cpus, monkeyp
         (critical_curve, SweepSpec(Target.R_DM, fixed, AxisSpec("pi", 0.1, 0.5, 2),
                                    solve=SolveSpec("p", 0.0, 1.0, coord_tol=0.05))),
     ]
+    # 300 replicates in chunks of 128: each estimate maps three chunks, a
+    # map that would reach the pool if it did not run in-process
+    monkeypatch.setattr(epict.component, "_CHUNK", 128)
     calls = spy_maps(monkeypatch)
     alone = [run(spec, MCSettings(300, 11, 1)) for run, spec in specs]
     assert three_cpus.sizes == []
@@ -722,8 +739,11 @@ def test_mc_sweeps_fan_out_bit_identical_without_nested_maps(three_cpus, monkeyp
     assert fanned == alone
     assert three_cpus.sizes == [3]
     assert [w for d, w in calls if d == 0] == [5000] * 3
+    # the tasks pass the caller's worker count on, and their maps ran
+    # in-process: the pool ran the three sweeps' own maps and no other
     inner = [w for d, w in calls if d > 0]
-    assert inner and set(inner) == {1}
+    assert inner and set(inner) == {5000}
+    assert three_cpus.maps == 3
     assert [p.status for p in fanned[2]] == ["ok", "ok"]
 
 

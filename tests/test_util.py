@@ -1,6 +1,6 @@
 """The process pool behind ``map_ordered``: one per process, replaced when a
-worker dies, gone when the process exits, never larger than the usable CPUs;
-and the one estimate type."""
+worker dies, gone when the process exits, never larger than the usable CPUs,
+never mapped on from inside a worker; and the one estimate type."""
 
 import json
 import math
@@ -10,21 +10,28 @@ import sys
 import textwrap
 from pathlib import Path
 
-from epict import Params, _util, cli, ensemble_outcomes
+from epict import Params, _util, cli
 from epict._util import Estimate
+from epict.epidemic import ensemble_outcomes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = textwrap.dedent("""
-    import json, os, signal, time
+    import json, multiprocessing, os, signal, time
     from epict import _util
 
     def pid(_):
         return os.getpid()
 
+    def nest(_):
+        # a map inside a worker runs there: own pid only, no pool of its own
+        inner = _util.map_ordered(pid, list(range(4)), 2)
+        return os.getpid(), inner, len(multiprocessing.active_children())
+
     first = _util.map_ordered(pid, list(range(8)), 2)
     pool = _util._pool
     again = _util.map_ordered(pid, list(range(8)), 2)
+    nested = _util.map_ordered(nest, list(range(8)), 2)
     reused = _util._pool is pool
     # a killed worker breaks the pool; the next call starts a new one
     os.kill(first[0], signal.SIGKILL)
@@ -33,7 +40,7 @@ SCRIPT = textwrap.dedent("""
         time.sleep(0.01)
     fresh = _util.map_ordered(pid, list(range(8)), 2)
     print(json.dumps({"reused": reused, "replaced": _util._pool is not pool,
-                      "old": first + again, "new": fresh}))
+                      "old": first + again, "new": fresh, "nested": nested}))
 """)
 
 
@@ -56,6 +63,8 @@ def test_pool_reused_replaced_when_broken_and_gone_at_exit():
     old, new = set(got["old"]), set(got["new"])
     assert len(old) <= 2 and len(new) <= 2 and not old & new
     assert not [p for p in old | new if alive(p)]
+    for worker, inner, children in got["nested"]:
+        assert worker in old and inner == [worker] * 4 and children == 0
 
 
 def test_worker_count_clamped_to_usable_cpus(three_cpus):
