@@ -59,7 +59,13 @@ five-control z-scores spread 1.32 over 2000 replicates holding about 55
 diagnosed ones (13% outside), and 1.05 over 8000 holding about 220.  (With
 delta = 0 and no replicate at the cap nothing is left, and all five would
 make the estimate exact up to rounding; having no diagnosed replicate, it
-keeps the absorption control.)
+keeps the absorption control.)  Each jump-count control also needs
+``_JUMP_CV_MIN_DIAGNOSED`` replicates of its root type that made that kind
+of jump.  Where almost none did (pi or p near 0), the control is minus its
+compensator, a fixed multiple of an exposure, on nearly every replicate, and
+the fit would use it to cancel the contribution series: at pi = 1e-4, p =
+0.5 and 2000 replicates the non-app row's adjusted means read about 0 with
+about 0 spread, against 0.0008 and 8.4.
 
 Replicates run in lockstep: a block of them advances one jump per step in
 NumPy arrays, and those that die or reach the event cap leave the live set.
@@ -327,19 +333,19 @@ def simulate_components(
     params: Params,
     replicates: int,
     seed: int,
-    cap: int = EVENT_CAP,
     workers: int = 1,
 ) -> ComponentSamples:
     """Simulate ``replicates`` independent components of each root type, all
     in one pass.
 
-    Each record is the replicate's jump count (``cap`` if it hit the cap),
-    its conditional-mean occupation integrals of k, l and 1{k+l = 1}, the
-    number of app-users it ever held, the state (k, l) at which it stopped
-    and whether it hit the cap.  A record depends only on (seed, root type,
-    index), never on what ran beside it.  Work is split into fixed chunks
-    of up to ``_CHUNK`` replicates of each root type; with ``workers > 1``
-    and more than one chunk, chunks run in processes.
+    Each record is the replicate's jump count (``EVENT_CAP``, read at the
+    call, if it hit the cap), its conditional-mean occupation integrals of
+    k, l and 1{k+l = 1}, the number of app-users it ever held, the state
+    (k, l) at which it stopped and whether it hit the cap.  A record depends
+    only on (seed, root type, index), never on what ran beside it.  Work is
+    split into fixed chunks of up to ``_CHUNK`` replicates of each root
+    type; with ``workers > 1`` and more than one chunk, chunks run in
+    processes.
 
     Raises DivergentSeries without simulating when delta = 0 and the
     component's own growth is supercritical: such components survive forever
@@ -354,7 +360,7 @@ def simulate_components(
         )
     beta, pi, p = params.beta, params.pi, params.p
     rates = (beta * pi, beta * pi * p, params.gamma, beta * (1.0 - pi) * p, params.delta)
-    tasks = [(rates, seed, start, count, cap)
+    tasks = [(rates, seed, start, count, EVENT_CAP)
              for start, count in chunk_ranges(replicates, _CHUNK)]
     parts = map_ordered(_simulate_chunk, tasks, workers)
     return ComponentSamples(*(np.concatenate(pieces, axis=1) for pieces in zip(*parts)))
@@ -371,6 +377,17 @@ class MatrixEstimate:
     row_cov: tuple[float, float]
 
 
+def _jump_counts(samples: ComponentSamples, row: int) -> tuple:
+    """Each replicate's app joins, app recoveries, non-app joins and non-app
+    recoveries in row ``row`` of the records.  The recovery counts follow
+    from conservation: what the root and the joins added minus the state at
+    the stop."""
+    k0 = int(_ROOT_K[row, 0])
+    ever_app, nonapp_joins = samples.ever_infected_app[row], samples.nonapp_joins[row]
+    return (ever_app - k0, ever_app - samples.k_stop[row], nonapp_joins,
+            nonapp_joins + (1 - k0) - samples.l_stop[row])
+
+
 def _controls(params: Params, samples: ComponentSamples, row: int) -> np.ndarray:
     """The five zero-mean controls of the replicates in row ``row`` of the
     records, one row each.
@@ -378,31 +395,24 @@ def _controls(params: Params, samples: ComponentSamples, row: int) -> np.ndarray
     Each is a count of the component's jumps minus its compensator, the sum
     over the replicate's jumps of that jump type's probability (its rate
     times the conditional-mean holding time), so each has mean exactly 0:
-    the absorption control (diagnoses and last recoveries), then app joins,
-    app recoveries, non-app joins and non-app recoveries.  The recovery
-    counts follow from conservation: what the root and the joins added
-    minus the state at the stop.
+    the absorption control (diagnoses and last recoveries), then the four
+    jump counts of :func:`_jump_counts`.
     """
     beta, gamma, delta, pi, p = (params.beta, params.gamma, params.delta,
                                  params.pi, params.p)
-    k0 = int(_ROOT_K[row, 0])
     ae, ne = samples.app_exposure[row], samples.nonapp_exposure[row]
     exposure = ae + ne
-    ever_app, nonapp_joins = samples.ever_infected_app[row], samples.nonapp_joins[row]
     c = np.empty((5, ae.size))
     absorbed, app_joins, app_recoveries, non_joins, non_recoveries = c
     # the counts, then minus their compensators, in place
     np.subtract(1.0, samples.hit_cap[row], out=absorbed)
     absorbed -= gamma * samples.size_one_exposure[row]
     absorbed -= delta * exposure
-    np.subtract(ever_app, k0, out=app_joins)
+    c[1:] = _jump_counts(samples, row)
     app_joins -= beta * pi * ae
     app_joins -= beta * pi * p * ne
-    np.subtract(ever_app, samples.k_stop[row], out=app_recoveries)
     app_recoveries -= gamma * ae
-    non_joins[:] = nonapp_joins
     non_joins -= beta * (1.0 - pi) * p * exposure
-    np.subtract(nonapp_joins + (1 - k0), samples.l_stop[row], out=non_recoveries)
     non_recoveries -= gamma * ne
     return c
 
@@ -412,9 +422,10 @@ def _row_samples(params: Params, samples: ComponentSamples, row: int):
     of the records, the replicates of root type i: the birth rates of
     app-user and non-app-user roots times occupation time, each minus its
     least-squares combination of the zero-mean controls of :func:`_controls`
-    from ``_CV_MIN_REPLICATES`` replicates up: all five once
-    ``_JUMP_CV_MIN_DIAGNOSED`` of the replicates ended by a diagnosis, the
-    absorption control alone before that.
+    from ``_CV_MIN_REPLICATES`` replicates up: the absorption control, and
+    once ``_JUMP_CV_MIN_DIAGNOSED`` of the replicates ended by a diagnosis,
+    each jump-count control of whose jump at least as many replicates made
+    one.
 
     A control that is the same on every replicate is left out (pi = 0
     makes no app joins, p = 0 no non-app joins), and the fit drops every
@@ -432,6 +443,10 @@ def _row_samples(params: Params, samples: ComponentSamples, row: int):
     controls = _controls(params, samples, row)
     if np.count_nonzero(samples.diagnosed[row]) < _JUMP_CV_MIN_DIAGNOSED:
         controls = controls[:1]
+    else:
+        made = [np.count_nonzero(n) >= _JUMP_CV_MIN_DIAGNOSED
+                for n in _jump_counts(samples, row)]
+        controls = controls[[True, *made]]
     varies = [c.min() != c.max() for c in controls]
     if not all(varies):
         controls = controls[varies]
@@ -466,7 +481,6 @@ def estimate_offspring_matrix(
     replicates: int,
     seed: int,
     workers: int = 1,
-    cap: int = EVENT_CAP,
 ) -> MatrixEstimate:
     """Estimate the combined-model mean offspring matrix.
 
@@ -477,7 +491,7 @@ def estimate_offspring_matrix(
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    samples = simulate_components(params, replicates, seed, cap, workers)
+    samples = simulate_components(params, replicates, seed, workers)
     capped = samples.capped
     if capped > _MAX_CAPPED_FRACTION * 2 * replicates:
         raise EventCapExceeded(

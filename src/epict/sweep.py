@@ -18,12 +18,14 @@ not from the sweep spec.  Every Monte Carlo evaluation is seeded from the
 sweep seed and the exact float bit patterns of its coordinates, so any
 published cell or curve point can be recomputed bit-exactly in isolation.
 
-Each entry point decides once whether its target is closed form or Monte
-Carlo (:func:`_mc_for`).  A closed-form heatmap or profile is one array
-pass, and a closed-form curve solves its points in-process.  The Monte Carlo
-points of a sweep are independent tasks: each heatmap or profile cell, and
-each curve point's whole bisection with its escalations, runs in one
-process, and the tasks fan out over the process pool of
+Every entry point runs its specs through one evaluation pass
+(:func:`_evaluate`), which decides once per spec whether its target is
+closed form or Monte Carlo (:func:`_mc_for`).  A closed-form heatmap or
+profile is one array pass, and a closed-form curve solves its points
+in-process.  The Monte Carlo points of a call are independent tasks: each
+heatmap or profile cell, and each curve point's whole bisection with its
+escalations, runs in one process, and all the tasks of every spec in the
+call, the bisections first, go into one map over the process pool of
 ``_util.map_ordered`` with ``workers`` processes.  A map inside a pool
 worker runs in-process, so a task's estimate does not split again; a direct
 call of :func:`find_critical` or :func:`evaluate_target` still splits an
@@ -37,6 +39,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -388,14 +391,19 @@ def _call(task):
     return fn(*args)
 
 
-def _curve_tasks(spec: SweepSpec, mc: MCSettings | None) -> list[tuple]:
-    """One task per abscissa: a whole bisection, escalations included."""
-    return [(_solve_point, spec, a, mc) for a in spec.free_axis.values()]
+def cell_seed(mc_seed: int, x1: float, x2: float) -> int:
+    """Seed used for the Monte Carlo evaluation of one heatmap cell."""
+    return mix64(mc_seed, float_key(x1), float_key(x2))
 
 
-def _cell_tasks(spec: SweepSpec, mc: MCSettings, axis2: AxisSpec | None) -> list[tuple]:
-    """One evaluation task per cell, row-major over free_axis x axis2, or
-    along free_axis, where a cell is seeded as at second coordinate 0."""
+def _tasks(spec: SweepSpec, mc: MCSettings) -> list[tuple]:
+    """One pool task per Monte Carlo point: a curve abscissa's whole
+    bisection, escalations included, when the spec solves; otherwise one
+    evaluation per cell, row-major over free_axis x second_axis, or along
+    free_axis, where a cell is seeded as at second coordinate 0."""
+    if spec.solve is not None:
+        return [(_solve_point, spec, a, mc) for a in spec.free_axis.values()]
+    axis2 = spec.second_axis
     tasks = []
     for x1 in spec.free_axis.values():
         fixed = with_param(spec.fixed, spec.free_axis.name, x1)
@@ -406,31 +414,44 @@ def _cell_tasks(spec: SweepSpec, mc: MCSettings, axis2: AxisSpec | None) -> list
     return tasks
 
 
+def _evaluate(specs: list[SweepSpec], mc: MCSettings | None) -> list[list]:
+    """Each spec's curve points when it solves, its cells row-major over
+    free_axis x second_axis otherwise, or along free_axis without a second
+    axis.
+
+    A closed-form spec runs in-process: its cells in one array pass,
+    bit-identical to :func:`evaluate_target` cell by cell, its curve points
+    one after another.  Every Monte Carlo task of every spec goes into one
+    map over ``mc.workers`` processes, the curve bisections (the longest
+    tasks) first.
+    """
+    results = [None] * len(specs)
+    queued = []  # (spec index, its Monte Carlo tasks)
+    for i, spec in enumerate(specs):
+        spec_mc = _mc_for(spec.target, mc)
+        if spec_mc is not None:
+            queued.append((i, _tasks(spec, spec_mc)))
+        elif spec.solve is not None:
+            results[i] = [_solve_point(spec, a, None) for a in spec.free_axis.values()]
+        else:
+            params = _cell_params(spec.fixed, spec.free_axis, spec.second_axis)
+            values = _closed_form_target(spec.target, params)
+            results[i] = [TargetEval(v) for v in values.ravel().tolist()]
+    if queued:
+        queued.sort(key=lambda q: specs[q[0]].solve is None)  # the bisections first
+        done = iter(map_ordered(_call, [t for _, tasks in queued for t in tasks], mc.workers))
+        for i, tasks in queued:
+            results[i] = list(islice(done, len(tasks)))
+    return results
+
+
 def critical_curve(spec: SweepSpec, mc: MCSettings | None = None) -> list[CurvePoint]:
     """find_critical at every abscissa of the free axis; failures become
     markers.  A Monte Carlo target's bisections run in parallel, one per
     process; a closed-form target's run in-process."""
     if spec.solve is None:
         raise ValueError("critical_curve needs a solve block in the spec")
-    mc = _mc_for(spec.target, mc)
-    return map_ordered(_call, _curve_tasks(spec, mc), 1 if mc is None else mc.workers)
-
-
-def cell_seed(mc_seed: int, x1: float, x2: float) -> int:
-    """Seed used for the Monte Carlo evaluation of one heatmap cell."""
-    return mix64(mc_seed, float_key(x1), float_key(x2))
-
-
-def _cells(spec: SweepSpec, mc: MCSettings | None, axis2: AxisSpec | None) -> list[TargetEval]:
-    """Target evaluations row-major over free_axis x axis2, or along
-    free_axis.  A closed-form target is evaluated over every cell in one
-    array pass, bit-identical to :func:`evaluate_target` cell by cell; a
-    Monte Carlo target's cells run in parallel, one per process."""
-    mc = _mc_for(spec.target, mc)
-    if mc is None:
-        values = _closed_form_target(spec.target, _cell_params(spec.fixed, spec.free_axis, axis2))
-        return [TargetEval(v) for v in values.ravel().tolist()]
-    return map_ordered(_call, _cell_tasks(spec, mc, axis2), mc.workers)
+    return _evaluate([spec], mc)[0]
 
 
 def _grid_rows(spec: SweepSpec, cells: list[TargetEval]) -> tuple:
@@ -443,12 +464,13 @@ def heatmap_grid(spec: SweepSpec, mc: MCSettings | None = None) -> tuple:
     holds the cells at free_axis[i], its cell j the one at second_axis[j]."""
     if spec.second_axis is None:
         raise ValueError("heatmap_grid needs a second_axis in the spec")
-    return _grid_rows(spec, _cells(spec, mc, spec.second_axis))
+    return _grid_rows(spec, _evaluate([replace(spec, solve=None)], mc)[0])
 
 
 def profile(spec: SweepSpec, mc: MCSettings | None = None) -> list[tuple[float, TargetEval]]:
     """Target values along the free axis (no solving, no second axis)."""
-    return list(zip(spec.free_axis.values(), _cells(spec, mc, None)))
+    cells = _evaluate([replace(spec, second_axis=None, solve=None)], mc)[0]
+    return list(zip(spec.free_axis.values(), cells))
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +509,30 @@ def heatmap_rows(spec: SweepSpec, grid: tuple) -> list[list]:
     return rows
 
 
-def spec_dataset(spec: SweepSpec, mc: MCSettings) -> SweepDataset:
-    """The one dataset of a custom spec: a critical curve when it solves, a
-    heatmap when it has a second axis, a profile along its free axis otherwise."""
+def _kind(spec: SweepSpec) -> str:
+    """What a spec's results are: a critical curve when it solves, a heatmap
+    when it has a second axis, a profile along its free axis otherwise."""
     if spec.solve is not None:
-        return SweepDataset("curve", CURVE_HEADER, curve_rows(critical_curve(spec, mc)))
-    if spec.second_axis is not None:
-        return SweepDataset("heatmap", HEATMAP_HEADER,
-                            heatmap_rows(spec, heatmap_grid(spec, mc)))
-    rows = []
-    for x, ev in profile(spec, mc):
-        low, high = ev.interval()
-        rows.append([x, _num(ev.value), _num(low), _num(high), ev.status])
-    return SweepDataset("profile", PROFILE_HEADER, rows)
+        return "curve"
+    return "profile" if spec.second_axis is None else "heatmap"
+
+
+def _dataset(suffix: str, spec: SweepSpec, results: list) -> SweepDataset:
+    """The rows of a spec's results from :func:`_evaluate`."""
+    kind = _kind(spec)
+    if kind == "curve":
+        return SweepDataset(suffix, CURVE_HEADER, curve_rows(results))
+    if kind == "heatmap":
+        return SweepDataset(suffix, HEATMAP_HEADER,
+                            heatmap_rows(spec, _grid_rows(spec, results)))
+    rows = [[x, _num(ev.value), *map(_num, ev.interval()), ev.status]
+            for x, ev in zip(spec.free_axis.values(), results)]
+    return SweepDataset(suffix, PROFILE_HEADER, rows)
+
+
+def spec_dataset(spec: SweepSpec, mc: MCSettings) -> SweepDataset:
+    """The one dataset of a custom spec, named by its kind (:func:`_kind`)."""
+    return _dataset(_kind(spec), spec, _evaluate([spec], mc)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -537,52 +570,52 @@ def builtin_datasets(
            curve.
     fig5b: combined-model heatmap and R_DM = 1 curve at testing fraction 1/5.
 
-    fig3a, fig3b and fig4 are closed form; only fig5a's and fig5b's R_DM
-    datasets read the seed, the replicate count and the workers.  Their
-    heatmap cells and curve bisections run as one map over ``workers``
-    processes, the bisections (the longest tasks) first, each task in one
-    process; the rows are bit-identical for any worker count.
+    Each figure but fig4 is a table of (suffix, spec) that one
+    :func:`_evaluate` pass runs.  fig3a, fig3b and fig4 are closed form;
+    only fig5a's and fig5b's R_DM datasets read the seed, the replicate
+    count and the workers, and their heatmap cells and curve bisections run
+    as one map over ``workers`` processes.  The rows are bit-identical for
+    any worker count.
     """
-    mc = MCSettings(replicates, seed, workers)
-    if name == "fig3a":
-        return _fig3_datasets(curve_points, squared=False)
-    if name == "fig3b":
-        return _fig3_datasets(curve_points, squared=True)
     if name == "fig4":
         return _fig4_dataset()
-    if name == "fig5a":
-        return _fig5_datasets(mc, curve_points, grid_points, delta=1.0 / 7.0, naive=True)
-    if name == "fig5b":
-        return _fig5_datasets(mc, curve_points, grid_points, delta=1.0 / 28.0, naive=False)
+    table = _figure_specs(name, curve_points, grid_points)
+    results = _evaluate([spec for _, spec in table], MCSettings(replicates, seed, workers))
+    if name == "fig3b":
+        results[0] = [replace(p, abscissa=p.abscissa**2) for p in results[0]]
+    return [_dataset(suffix, spec, res) for (suffix, spec), res in zip(table, results)]
+
+
+def _figure_specs(name: str, curve_points: int, grid_points: int) -> list[tuple[str, SweepSpec]]:
+    """The (suffix, spec) of each dataset of fig3a, fig3b, fig5a or fig5b."""
+    if name in ("fig3a", "fig3b"):
+        base = _figure_base(delta=FIGURE_GAMMA)  # solving in testing_fraction sets delta
+        solve = SolveSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION)
+        curves = [
+            ("digital_curve" if name == "fig3a" else "digital_curve_sq",
+             SweepSpec(Target.R_D, base, AxisSpec("pi", 0.1, 0.9, curve_points), solve=solve)),
+            ("manual_curve",
+             SweepSpec(Target.R_M, base, AxisSpec("p", 0.1, 0.9, curve_points), solve=solve)),
+        ]
+        if name == "fig3b":
+            return curves
+        heatmap = SweepSpec(Target.R_D, base,
+                            AxisSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION, 43),
+                            second_axis=AxisSpec("pi", 0.0, 1.0, 51))
+        return [("rd_heatmap", heatmap)] + curves
+    if name in ("fig5a", "fig5b"):
+        base = _figure_base(delta=1.0 / 7.0 if name == "fig5a" else 1.0 / 28.0)
+        solve = SolveSpec("p", 0.0, 1.0, coord_tol=5e-3)
+        axis = AxisSpec("pi", 0.1, 0.9, curve_points)
+        table = [
+            ("rdm_heatmap", SweepSpec(Target.R_DM, base, AxisSpec("p", 0.0, 1.0, grid_points),
+                                      second_axis=AxisSpec("pi", 0.0, 1.0, grid_points))),
+            ("rdm_curve", SweepSpec(Target.R_DM, base, axis, solve=solve)),
+        ]
+        if name == "fig5a":
+            table.append(("naive_curve", SweepSpec(Target.NAIVE_PRODUCT, base, axis, solve=solve)))
+        return table
     raise ValueError(f"unknown sweep name {name!r}; choose from {builtin_names()}")
-
-
-def _fig3_datasets(curve_points: int, squared: bool) -> list[SweepDataset]:
-    base = _figure_base(delta=FIGURE_GAMMA)  # delta rescaled per point below
-    solve = SolveSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION)
-    axis = AxisSpec("pi", 0.1, 0.9, curve_points)
-    digital = critical_curve(SweepSpec(Target.R_D, base, axis, solve=solve))
-    if squared:
-        digital = [replace(p, abscissa=None if p.abscissa is None else p.abscissa**2)
-                   for p in digital]
-    manual = critical_curve(
-        SweepSpec(Target.R_M, base, AxisSpec("p", 0.1, 0.9, curve_points), solve=solve)
-    )
-    out = [
-        SweepDataset("digital_curve_sq" if squared else "digital_curve",
-                     CURVE_HEADER, curve_rows(digital)),
-        SweepDataset("manual_curve", CURVE_HEADER, curve_rows(manual)),
-    ]
-    if not squared:
-        spec = SweepSpec(
-            Target.R_D,
-            base,
-            AxisSpec("testing_fraction", 0.0, MAX_TESTING_FRACTION, 43),
-            second_axis=AxisSpec("pi", 0.0, 1.0, 51),
-        )
-        rows = heatmap_rows(spec, heatmap_grid(spec))
-        out.insert(0, SweepDataset("rd_heatmap", HEATMAP_HEADER, rows))
-    return out
 
 
 def _fig4_dataset() -> list[SweepDataset]:
@@ -591,31 +624,3 @@ def _fig4_dataset() -> list[SweepDataset]:
     rows = zip(axis.values(), r_component_digital(params).tolist(),
                r_individual_digital(params).tolist())
     return [SweepDataset("profile", ["pi", "R_D", "R_ind_D"], [list(row) for row in rows])]
-
-
-def _fig5_datasets(
-    mc: MCSettings, curve_points: int, grid_points: int, delta: float, naive: bool
-) -> list[SweepDataset]:
-    base = _figure_base(delta=delta)
-    grid_spec = SweepSpec(
-        Target.R_DM,
-        base,
-        AxisSpec("p", 0.0, 1.0, grid_points),
-        second_axis=AxisSpec("pi", 0.0, 1.0, grid_points),
-    )
-    solve = SolveSpec("p", 0.0, 1.0, coord_tol=5e-3)
-    axis = AxisSpec("pi", 0.1, 0.9, curve_points)
-    curve_spec = SweepSpec(Target.R_DM, base, axis, solve=solve)
-    # one map over both datasets, the bisections (the longest tasks) first
-    curve_tasks = _curve_tasks(curve_spec, mc)
-    done = map_ordered(_call, curve_tasks + _cell_tasks(grid_spec, mc, grid_spec.second_axis),
-                       mc.workers)
-    rdm, grid = done[:len(curve_tasks)], _grid_rows(grid_spec, done[len(curve_tasks):])
-    out = [
-        SweepDataset("rdm_heatmap", HEATMAP_HEADER, heatmap_rows(grid_spec, grid)),
-        SweepDataset("rdm_curve", CURVE_HEADER, curve_rows(rdm)),
-    ]
-    if naive:
-        white = critical_curve(SweepSpec(Target.NAIVE_PRODUCT, base, axis, solve=solve))
-        out.append(SweepDataset("naive_curve", CURVE_HEADER, curve_rows(white)))
-    return out

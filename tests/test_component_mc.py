@@ -134,14 +134,14 @@ def record(samples, i):
             + (samples.nonapp_joins[i],))
 
 
-def assert_matches_scalar(params, root, replicates, seed, cap=10**7):
-    """Batch records of root type ``root`` equal the scalar simulator's,
-    replicate by replicate; returns that root type's records and the scalar
-    causes of death."""
-    s = one_root(simulate_components(params, replicates, seed, cap=cap), root)
+def assert_matches_scalar(params, root, replicates, seed):
+    """Batch records of root type ``root`` equal the scalar simulator's at
+    the same event cap, replicate by replicate; returns that root type's
+    records and the scalar causes of death."""
+    s = one_root(simulate_components(params, replicates, seed), root)
     causes = []
     for i in range(replicates):
-        want, cause = scalar_component(params, root, seed, i, cap)
+        want, cause = scalar_component(params, root, seed, i, component.EVENT_CAP)
         assert record(s, i) == want, (i, record(s, i), want)
         assert s.hit_cap[i] == (cause == "event-cap-hit")
         assert s.diagnosed[i] == (cause == "diagnosed")
@@ -234,7 +234,7 @@ def test_scalar_simulator_reproduces_batch(table2_params, root, replicates):
     assert_matches_scalar(table2_params, root, replicates, seed=17)
 
 
-def test_event_cap_outcome_and_estimator_failure():
+def test_event_cap_outcome_and_estimator_failure(monkeypatch):
     # supercritical within-component growth and delta=0: never dies
     p = Params(2.0, 1 / 7, 0.0, 1.0, 0.0, 1)
     assert scalar_component(p, RootType.APP, 1, 0, cap=64)[1] == "event-cap-hit"
@@ -242,15 +242,17 @@ def test_event_cap_outcome_and_estimator_failure():
     with pytest.raises(DivergentSeries):
         simulate_components(p, 100, seed=1)
     # barely-dying case: delta > 0 passes the guard; capped replicates stop
-    # at exactly ``cap`` jumps, in lockstep and in the scalar tail alike
+    # at exactly ``EVENT_CAP`` jumps, in lockstep and in the scalar tail alike
     q = Params(2.0, 1 / 7, 1e-4, 1.0, 0.0, 1)
+    monkeypatch.setattr(component, "EVENT_CAP", 64)
     for replicates in (10, 400):
-        s, causes = assert_matches_scalar(q, RootType.APP, replicates, seed=1, cap=64)
+        s, causes = assert_matches_scalar(q, RootType.APP, replicates, seed=1)
         assert s.capped > 0
         assert all(j == 64 for j, c in zip(s.jumps, causes) if c == "event-cap-hit")
     # a tiny cap trips the capped-fraction limit in the estimator
+    monkeypatch.setattr(component, "EVENT_CAP", 200)
     with pytest.raises(EventCapExceeded):
-        estimate_offspring_matrix(q, 200, seed=2, cap=200)
+        estimate_offspring_matrix(q, 200, seed=2)
 
 
 def test_growth_bound_matches_single_type_cases():
@@ -380,9 +382,13 @@ def test_both_rows_match_the_scalar_simulator(table2_params, replicates, workers
     assert_rows_match_scalar(samples, scalar_rows(table2_params, replicates, 29))
 
 
-def test_both_rows_match_the_scalar_simulator_at_the_cap():
+def test_both_rows_match_the_scalar_simulator_at_the_cap(monkeypatch):
+    # the cap travels with each chunk task, so a pool worker that is older
+    # than the patch stops at it too
     p = Params(2.0, 1 / 7, 1e-3, 0.9, 0.5, 1)
-    samples = simulate_components(p, 300, seed=3, cap=64)
+    monkeypatch.setattr(component, "EVENT_CAP", 64)
+    monkeypatch.setattr(component, "_CHUNK", 128)
+    samples = simulate_components(p, 300, seed=3, workers=WORKERS)
     assert samples.capped > 300
     assert_rows_match_scalar(samples, scalar_rows(p, 300, 3, 64))
 
@@ -502,7 +508,9 @@ def control_samples(case):
     """20000 replicates of each root type of one control case, simulated
     once for every mean-zero test."""
     params, cap = CONTROL_CASES[case]
-    return simulate_components(params, 20_000, seed=81, cap=cap, workers=WORKERS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(component, "EVENT_CAP", cap)
+        return simulate_components(params, 20_000, seed=81, workers=WORKERS)
 
 
 @pytest.mark.parametrize("case", CONTROL_CASES)
@@ -636,6 +644,19 @@ def test_jump_controls_wait_for_diagnosed_replicates(monkeypatch):
     alone = [r_component_combined(p, replicates, seed=94) for p in (low, reference)]
     assert both[0] == alone[0]
     assert both[1].se < alone[1].se
+
+
+@pytest.mark.parametrize("pi, p, seed", [
+    (1e-4, 0.5, 0), (1e-5, 0.5, 39), (0.5, 1e-5, 29), (0.5, 1e-6, 1), (1e-6, 0.999999, 0),
+])
+def test_jump_controls_wait_for_their_jumps(pi, p, seed):
+    # where a row's replicates almost never make one kind of jump, that
+    # jump's control is minus a fixed multiple of an exposure, and fitting
+    # it cancelled the contribution series: a mean of about 0 with about 0
+    # spread, or a negative one the offspring matrix refused
+    params = Params(6 / 7, 1 / 7, 1 / 28, pi, p, 1)
+    est = r_component_combined(params, component._CV_MIN_REPLICATES, seed=seed)
+    assert abs(est.value - _lattice_radius(params)) <= 6 * est.se
 
 
 def test_r_combined_manual_only_matches_series(table2_params):

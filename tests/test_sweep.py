@@ -747,6 +747,28 @@ def test_mc_sweeps_fan_out_bit_identical_without_nested_maps(three_cpus, monkeyp
     assert [p.status for p in fanned[2]] == ["ok", "ok"]
 
 
+def test_one_map_per_sweep_call_and_none_for_closed_forms(three_cpus, monkeypatch):
+    # a closed-form dataset runs in-process without a map; a fig5a call puts
+    # its heatmap cells and its R_DM bisections into one pool map, while its
+    # closed-form product curve stays in-process
+    calls = spy_maps(monkeypatch)
+    mc = MCSettings(300, 11, 5000)
+    for name in ("fig3a", "fig3b", "fig4"):
+        builtin_datasets(name, seed=7, replicates=50, workers=5000, curve_points=2)
+    closed = SweepSpec(Target.R_D, FIG, AxisSpec("pi", 0.1, 0.9, 2),
+                       second_axis=AxisSpec("p", 0.0, 1.0, 2),
+                       solve=SolveSpec("testing_fraction", 0.0, FMAX))
+    for run in (critical_curve, heatmap_grid, profile):
+        run(closed, mc)
+    spec_dataset(replace(closed, solve=None), mc)
+    assert calls == [] and three_cpus.sizes == []
+    fig5a = builtin_datasets("fig5a", seed=7, replicates=50, workers=5000,
+                             curve_points=2, grid_points=3)
+    assert [ds.suffix for ds in fig5a] == ["rdm_heatmap", "rdm_curve", "naive_curve"]
+    assert [w for d, w in calls if d == 0] == [5000]
+    assert three_cpus.sizes == [3] and three_cpus.maps == 1
+
+
 def test_curve_markers_come_back_through_the_fan_out(three_cpus):
     # at testing fraction 0.2 the combined number rises then collapses in pi
     # when p = 0.1, and at p = 1 it is exactly 0 for every pi

@@ -5,10 +5,13 @@ never mapped on from inside a worker; and the one estimate type."""
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from epict import Params, _util, cli
 from epict._util import Estimate
@@ -55,10 +58,19 @@ def alive(pid: int) -> bool:
 def test_pool_reused_replaced_when_broken_and_gone_at_exit():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                          timeout=60, env=env)
-    assert done.returncode == 0, done.stderr
-    got = json.loads(done.stdout)
+    # the script runs in a session of its own, so that a hang kills its
+    # pool workers with it rather than leaving them orphaned
+    with subprocess.Popen([sys.executable, "-c", SCRIPT], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the script hung for 60 s; its process group was killed")
+    assert child.returncode == 0, err
+    got = json.loads(out)
     assert got["reused"] and got["replaced"]
     old, new = set(got["old"]), set(got["new"])
     assert len(old) <= 2 and len(new) <= 2 and not old & new
