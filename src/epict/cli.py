@@ -13,6 +13,12 @@ subcommand takes only the flags it reads.  The JSON config file is shared by
 all subcommands: every value in it is checked, then the keys this subcommand
 does not read are ignored.  Precedence: defaults, config file, flags.
 
+Every file goes through one writer, :func:`_write`, and its name picks the
+format: a name ending in ``.json`` (any case) gets JSON, any other name CSV.
+A report is a JSON object or flattened ``key,value`` CSV rows; a table (the
+epidemic runs, a sweep dataset) is one JSON object per row or a CSV header
+and rows.  The epidemic summary, ``<out stem>.summary.json``, is always JSON.
+
 All randomness flows from a single seed (default ``DEFAULT_SEED``, a fixed
 constant so bare invocations are reproducible); the thread setting changes
 wall time only, never results.
@@ -61,7 +67,6 @@ from .sweep import (
 
 DEFAULT_SEED = 123456789
 DEFAULT_PARAMS = Params(beta=0.8, gamma=1 / 7, delta=1 / 7, pi=2 / 3, p=2 / 3, n=5000)
-FORMATS = ("csv", "json")
 
 # Reference scenarios checked by `epict table2`: (p, pi), the analytic or
 # simulated reproduction number, the published major-outbreak fraction and
@@ -99,12 +104,6 @@ def _threads(name: str, value) -> int:
 def _path(name: str, value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a file path, got {value!r}")
-    return value
-
-
-def _format(name: str, value) -> str:
-    if value not in FORMATS:
-        raise ValueError(f"{name} must be one of {', '.join(FORMATS)}, got {value!r}")
     return value
 
 
@@ -146,9 +145,8 @@ OPTIONS = {
                                   f"{DEFAULT_REPLICATES})"}, True),
     "runs": Option(_reads("epidemic table2", 10**4), _whole,
                    {"type": int, "help": "epidemic runs (table2: per scenario)"}, True),
-    "out": Option(_reads(MODEL), _path, {"help": "output file path"}, True),
-    "format": Option(_reads(MODEL, "csv"), _format,
-                     {"choices": FORMATS, "help": "output file format"}, True),
+    "out": Option(_reads(MODEL), _path, {"help": "output file: JSON if its name ends "
+                                         "in .json (any case), CSV otherwise"}, True),
     "sweep": Option(_reads("sweep"), lambda name, value: spec_from_json(json.dumps(value)),
                     in_file=True),
     "spec": Option(_reads("sweep"),
@@ -194,26 +192,28 @@ def _none_if_nan(x: float) -> float | None:
     return None if math.isnan(x) else x
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write(path: str, data: dict | tuple[list, list]) -> None:
+    """Write a report (a dict) or a table (a header and its rows) to ``path``:
+    JSON if the name ends in ``.json`` (any case), CSV otherwise.  A report is
+    its JSON object or flattened ``key,value`` rows, a table one JSON object
+    per row or its header and rows.  CSV writes None as an empty field."""
+    if isinstance(data, dict):
+        obj, header, rows = data, ["key", "value"], _flatten(data)
+    else:
+        header, rows = data
+        obj = [dict(zip(header, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        if path.lower().endswith(".json"):
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+        else:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _emit(report: dict, opts: argparse.Namespace, text: str) -> None:
     print(text)
     if opts.out:
-        with open(opts.out, "w", encoding="utf-8") as fh:
-            if opts.format == "json":
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
-            else:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["key", "value"])
-                for k, v in _flatten(report):
-                    writer.writerow([k, v])
+        _write(opts.out, report)
 
 
 def _flatten(obj, prefix=""):
@@ -336,18 +336,9 @@ def cmd_epidemic(opts: argparse.Namespace) -> int:
             [i, o.final_size, o.peak_infectious, o.duration, int(o.final_size > cutoff)]
             for i, o in enumerate(outcomes)
         ]
-        if opts.format == "json":
-            with open(opts.out, "w", encoding="utf-8") as fh:
-                json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
-                fh.write("\n")
-        else:
-            for row in rows:
-                row[3] = f"{row[3]:.6f}"
-            _write_csv(opts.out, header, rows)
+        _write(opts.out, (header, rows))
         summary_path = os.path.splitext(opts.out)[0] + ".summary.json"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write(summary_path, report)
         _log(f"[epidemic] wrote {opts.out} and {summary_path}")
     size = "n/a" if math.isnan(summary.mean_major_size) else f"{summary.mean_major_size:.4f}"
     print(
@@ -373,7 +364,7 @@ def cmd_sweep(opts: argparse.Namespace) -> int:
         return 2
     for ds in datasets:
         path = os.path.join(opts.out_dir, f"{name}_{ds.suffix}.csv")
-        _write_csv(path, ds.header, ds.rows)
+        _write(path, (ds.header, ds.rows))
         _log(f"[sweep] wrote {path} ({len(ds.rows)} rows)")
     return 0
 

@@ -117,13 +117,6 @@ def r0(params: Params) -> float:
     return params.beta / (params.gamma + params.delta)
 
 
-def testing_fraction(delta: float, gamma: float) -> float:
-    """Fraction of infectious periods ending in diagnosis: delta/(delta+gamma)."""
-    if gamma <= 0:
-        raise InvalidParams("gamma must be positive")
-    return delta / (delta + gamma)
-
-
 def delta_for_testing_fraction(fraction: float, gamma: float) -> float:
     """Diagnosis rate giving the requested testing fraction (inverse map)."""
     if gamma <= 0:
@@ -136,6 +129,11 @@ def delta_for_testing_fraction(fraction: float, gamma: float) -> float:
 # Axis names accepted by with_param; "testing_fraction" is a pseudo-parameter
 # mapped onto delta while keeping gamma fixed.
 AXIS_NAMES = PARAM_KEYS + ("testing_fraction",)
+
+
+def _field(name: str) -> str:
+    """The :class:`Params` field that the axis ``name`` sets."""
+    return "delta" if name == "testing_fraction" else name
 
 
 def with_param(params: Params, name: str, value) -> Params:
@@ -173,7 +171,7 @@ def param_grid(fixed: Params, first: tuple[str, Sequence],
     if second is None:
         return ParamArrays(*by_row)
     shape = (len(rows), len(second[1]))
-    changed = "delta" if second[0] == "testing_fraction" else second[0]
+    changed = _field(second[0])
     return ParamArrays(*(
         np.array([[getattr(point, name) for point in columns[row.gamma]] for row in rows],
                  dtype=float)

@@ -52,8 +52,8 @@ from .digital import (
     r_manual,
 )
 from .params import (
-    AXIS_NAMES, ParamArrays, Params, _keys, _number, _whole, param_grid, params_from_dict,
-    with_param,
+    AXIS_NAMES, InvalidParams, ParamArrays, Params, _field, _keys, _number, _whole, param_grid,
+    params_from_dict, with_param,
 )
 
 
@@ -153,11 +153,22 @@ def spec_from_json(text: str) -> SweepSpec:
             _number("solve residual_tol", solve.get("residual_tol", 1e-9)),
             _number("solve coord_tol", solve.get("coord_tol", 1e-3)),
         )
+    free = axis("free_axis")
+    second = axis("second_axis") if obj.get("second_axis") is not None else None
+    # a spec has one use for its second coordinate, and two coordinates that
+    # set the same field would overwrite each other
+    if second is not None and solve is not None:
+        raise InvalidParams("sweep keys second_axis and solve exclude each other")
+    if second is not None or solve is not None:
+        key, name = ("second_axis", second.name) if second else ("solve", solve.coordinate)
+        if _field(name) == _field(free.name):
+            raise InvalidParams(f"free_axis {free.name!r} and {key} {name!r} "
+                                f"both set {_field(name)}")
     return SweepSpec(
         target=Target(obj["target"]),
         fixed=params_from_dict(obj["fixed"]),
-        free_axis=axis("free_axis"),
-        second_axis=axis("second_axis") if obj.get("second_axis") is not None else None,
+        free_axis=free,
+        second_axis=second,
         solve=solve,
     )
 

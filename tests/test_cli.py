@@ -8,6 +8,8 @@ import pytest
 from epict.epidemic import EpidemicOutcome, summarize_ensemble
 from epict.cli import DEFAULT_PARAMS, main
 
+RUNS_HEADER = ["run_index", "final_size", "peak_infectious", "duration", "major_flag"]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -19,7 +21,7 @@ def test_analytic_reference_values(capsys, tmp_path):
     out = tmp_path / "analytic.json"
     code, text, _ = run_cli(
         capsys, "analytic", "--beta", "0.8", "--pi", str(2 / 3),
-        "--out", str(out), "--format", "json",
+        "--out", str(out),
     )
     assert code == 0
     report = json.loads(out.read_text())
@@ -70,7 +72,7 @@ def test_component_mc_analytic_cross_check(capsys, tmp_path):
     out = tmp_path / "mc.json"
     code, text, _ = run_cli(
         capsys, "component-mc", "--p", "0", "--replicates", "20000",
-        "--out", str(out), "--format", "json",
+        "--out", str(out),
     )
     assert code == 0
     report = json.loads(out.read_text())
@@ -89,7 +91,7 @@ def test_component_mc_independence_product_is_exact(capsys, tmp_path):
     out = tmp_path / "mc.json"
     code, text, _ = run_cli(
         capsys, "component-mc", "--replicates", "2000", "--threads", "1",
-        "--out", str(out), "--format", "json",
+        "--out", str(out),
     )
     assert code == 0
     naive = json.loads(out.read_text())["naive_product"]
@@ -111,8 +113,7 @@ def test_epidemic_outputs_and_determinism(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     rows = list(csv.DictReader(out1.open()))
     assert len(rows) == 40
-    assert set(rows[0]) == {"run_index", "final_size", "peak_infectious",
-                            "duration", "major_flag"}
+    assert list(rows[0]) == RUNS_HEADER
     summary = json.loads((tmp_path / "runs1.summary.json").read_text())
     assert summary["runs"] == 40
     assert 0.0 <= summary["major_fraction"] <= 1.0
@@ -237,7 +238,7 @@ def test_table2_small_run_structure_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "t1.json"
     out2 = tmp_path / "t2.json"
     argv = ["table2", "--runs", "60", "--replicates", "3000", "--n", "500",
-            "--seed", "3", "--threads", "2", "--format", "json"]
+            "--seed", "3", "--threads", "2"]
     code, text, _ = run_cli(capsys, *argv, "--out", str(out1))
     assert code == 0  # flags may fail or be inconclusive; exit stays 0
     code, _, _ = run_cli(capsys, *argv, "--out", str(out2))
@@ -277,7 +278,7 @@ def test_absent_major_size_is_null_and_inconclusive(capsys, tmp_path):
     out = tmp_path / "t.json"
     code, text, _ = run_cli(
         capsys, "table2", "--runs", "20", "--replicates", "2000", "--seed", "4",
-        "--threads", "1", "--format", "json", "--out", str(out),
+        "--threads", "1", "--out", str(out),
     )
     assert code == 0
     combined = _strict_json(out.read_text())["rows"][3]
@@ -313,10 +314,40 @@ def test_single_major_outbreak_size_is_inconclusive_and_se_null(capsys, tmp_path
     monkeypatch.setattr("epict.cli.run_ensemble", lambda *args, **kwargs: one)
     table = tmp_path / "t.json"
     code, _, _ = run_cli(capsys, "table2", "--replicates", "2000", "--threads", "1",
-                         "--format", "json", "--out", str(table))
+                         "--out", str(table))
     assert code == 0
     rows = _strict_json(table.read_text())["rows"]
     assert [row["size_flag"] for row in rows] == ["inconclusive"] * 4
+
+
+# small runs of each subcommand that writes --out
+SMALL = {
+    "analytic": [],
+    "component-mc": ["--replicates", "2000", "--threads", "1"],
+    "epidemic": ["--runs", "5", "--n", "100", "--threads", "1"],
+    "table2": ["--runs", "10", "--replicates", "2000", "--n", "200", "--threads", "1"],
+}
+
+
+@pytest.mark.parametrize("name", ["x.json", "x.JSON", "x.csv", "x"])
+@pytest.mark.parametrize("command", list(SMALL))
+def test_out_name_picks_format(capsys, tmp_path, command, name):
+    # a name ending in .json (any case) gets JSON, any other name CSV; the
+    # epidemic summary is JSON whatever the --out name
+    out = tmp_path / name
+    code, _, err = run_cli(capsys, command, *SMALL[command], "--out", str(out))
+    assert code == 0, err
+    text = out.read_text()
+    if name.lower().endswith(".json"):
+        assert isinstance(_strict_json(text), list if command == "epidemic" else dict)
+    else:
+        with pytest.raises(ValueError):
+            json.loads(text)
+        header, *rows = csv.reader(text.splitlines())
+        assert header == (RUNS_HEADER if command == "epidemic" else ["key", "value"])
+        assert rows and all(len(row) == len(header) for row in rows)
+    if command == "epidemic":
+        assert _strict_json((tmp_path / "x.summary.json").read_text())["runs"] == 5
 
 
 def test_config_precedence_flags_over_file(capsys, tmp_path):
@@ -435,7 +466,7 @@ def test_whole_float_config_integers_accepted(capsys, tmp_path):
 def test_epidemic_json_runs_file(capsys, tmp_path):
     argv = ["epidemic", "--runs", "12", "--n", "200", "--seed", "7", "--threads", "1"]
     out_json, out_csv = tmp_path / "runs.json", tmp_path / "runs.csv"
-    code, _, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(out_json))
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_json))
     assert code == 0
     code, _, _ = run_cli(capsys, *argv, "--out", str(out_csv))
     assert code == 0
@@ -443,21 +474,21 @@ def test_epidemic_json_runs_file(capsys, tmp_path):
     rows = list(csv.DictReader(out_csv.open()))
     assert len(records) == 12
     assert [set(r) for r in records] == [set(row) for row in rows]
-    for record, row in zip(records, rows):
-        assert f"{record['duration']:.6f}" == row["duration"]
-        assert {k: str(v) for k, v in record.items() if k != "duration"} == {
-            k: v for k, v in row.items() if k != "duration"}
+    # the same values in both, durations to the last digit
+    assert [{k: str(v) for k, v in record.items()} for record in records] == rows
 
 
 # (subcommand, flag, value) pairs that change no output and are refused:
-# analytic draws no random numbers, built-in sweeps fix their own parameters
-# (custom specs carry theirs in "fixed") and write CSV files into --out-dir,
-# and table2 fixes p and pi in its four rows
+# the --out name picks the file format, analytic draws no random numbers,
+# built-in sweeps fix their own parameters (custom specs carry theirs in
+# "fixed") and write CSV files into --out-dir, and table2 fixes p and pi in
+# its four rows
 REMOVED_FLAGS = [
+    *((command, "--format", "json") for command in
+      ("analytic", "component-mc", "epidemic", "sweep", "table2")),
     ("analytic", "--seed", "1"),
     ("analytic", "--threads", "1"),
     ("sweep", "--out", "y.json"),
-    ("sweep", "--format", "json"),
     ("sweep", "--beta", "0.8"),
     ("sweep", "--gamma", "0.2"),
     ("sweep", "--delta", "0.2"),
@@ -491,7 +522,7 @@ def test_flag_count():
     pairs = {(command, flag) for command, parser in sub.choices.items()
              for action in parser._actions for flag in action.option_strings
              if flag not in ("-h", "--help")}
-    assert len(pairs) == 51
+    assert len(pairs) == 47
     assert not pairs & {(command, flag) for command, flag, _ in REMOVED_FLAGS}
 
 
@@ -504,14 +535,15 @@ def test_help_exits_zero(capsys, command):
 
 
 @pytest.mark.parametrize("text, message", [
-    ('{"format": "xml"}', "error: format must be one of csv, json, got 'xml'"),
+    pytest.param('{"format": "xml"}', "error: unknown config key(s): format",
+                 id="format-key"),
     ('{"out": 1}', "error: out must be a file path, got 1"),
     ('{"params": {"n": true}}', "error: n must be a positive integer"),
     ('{"params": {"beta": "0.8"}}', "error: beta must be a number, got '0.8'"),
     ('{"params": [0.8]}', "error: parameters must be a JSON object"),
 ])
 def test_bad_config_value_rejected(capsys, tmp_path, monkeypatch, text, message):
-    # {"format": "xml"} wrote CSV into x.xml, {"out": 1} wrote into stdout
+    # {"out": 1} wrote into stdout
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(text)
     code, out, err = run_cli(capsys, "analytic", "--config", "cfg.json", "--out", "x.xml")
@@ -521,13 +553,13 @@ def test_bad_config_value_rejected(capsys, tmp_path, monkeypatch, text, message)
 
 
 def test_unread_config_values_still_checked(capsys, tmp_path):
-    # the config file is shared: sweep ignores "format" and analytic ignores
+    # the config file is shared: sweep ignores "runs" and analytic ignores
     # "sweep", but each value must still pass its check
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sweep": R_DM_PROFILE, "format": "xml"}))
+    cfg.write_text(json.dumps({"sweep": R_DM_PROFILE, "runs": 1.5}))
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
-    assert "error: format must be one of csv, json" in err
+    assert "error: runs must be a whole number" in err
     cfg.write_text(json.dumps({"sweep": {**R_DM_PROFILE, "target": "R_X"}}))
     code, _, err = run_cli(capsys, "analytic", "--config", str(cfg))
     assert code == 1

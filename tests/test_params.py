@@ -6,7 +6,7 @@ import re
 import pytest
 
 from epict import InvalidParams, Params, delta_for_testing_fraction, r0, with_param
-from epict.params import params_from_dict, testing_fraction
+from epict.params import params_from_dict
 
 
 def test_valid_params_pass_unchanged():
@@ -84,7 +84,7 @@ def test_r0_monotone_on_grid():
 @pytest.mark.parametrize("delta", [0.0, 1 / 7, 0.9, 12.3])
 def test_testing_fraction_round_trip(delta):
     gamma = 1 / 7
-    f = testing_fraction(delta, gamma)
+    f = delta / (delta + gamma)
     back = delta_for_testing_fraction(f, gamma)
     assert back == pytest.approx(delta, rel=1e-12, abs=1e-15)
     assert 0.0 <= f < 1.0
@@ -115,7 +115,7 @@ def test_partial_dict_merges_over_base():
 def test_with_param_testing_fraction():
     base = Params(0.8, 1 / 7, 0.0, 0.0, 0.0, 1)
     q = with_param(base, "testing_fraction", 0.5)
-    assert testing_fraction(q.delta, q.gamma) == pytest.approx(0.5, abs=1e-15)
+    assert q.delta / (q.delta + q.gamma) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(InvalidParams):
         with_param(base, "alpha", 1.0)
 

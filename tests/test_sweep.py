@@ -596,6 +596,38 @@ def test_spec_from_json_rejects_non_numbers(edit, message):
         spec_from_json(json.dumps(obj))
 
 
+def _axis(name):
+    return {"name": name, "start": 0.1, "stop": 0.5, "points": 2}
+
+
+@pytest.mark.parametrize("free, second, solve, message", [
+    ("pi", "pi", None, "free_axis 'pi' and second_axis 'pi' both set pi"),
+    ("delta", "testing_fraction", None,
+     "free_axis 'delta' and second_axis 'testing_fraction' both set delta"),
+    ("pi", None, "pi", "free_axis 'pi' and solve 'pi' both set pi"),
+    ("pi", "p", "testing_fraction", "sweep keys second_axis and solve exclude each other"),
+    ("gamma", "testing_fraction", None, None),
+], ids=["pi-x-pi", "delta-x-testing", "pi-solve-pi", "axis-and-solve", "gamma-x-testing"])
+def test_spec_from_json_rejects_contradictory_coordinates(free, second, solve, message):
+    # each refused spec wrote a misleading CSV: the second coordinate
+    # overwrote the free axis's field, or a second axis was dropped
+    obj = {"target": "R_D", "fixed": {"beta": 6 / 7, "gamma": 1 / 7, "delta": 1 / 7,
+                                      "pi": 0.0, "p": 0.0},
+           "free_axis": _axis(free)}
+    if second is not None:
+        obj["second_axis"] = _axis(second)
+    if solve is not None:
+        obj["solve"] = {"coordinate": solve, "lo": 0.0, "hi": FMAX}
+    if message is None:  # gamma and delta are different fields
+        dataset = spec_dataset(spec_from_json(json.dumps(obj)), MCSettings())
+        assert [row[:2] for row in dataset.rows] == [[0.1, 0.1], [0.1, 0.5],
+                                                     [0.5, 0.1], [0.5, 0.5]]
+        assert len({row[2] for row in dataset.rows}) == 4
+    else:
+        with pytest.raises(InvalidParams, match=re.escape(message)):
+            spec_from_json(json.dumps(obj))
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(residual_tol=math.nan), "residual_tol"),
     (dict(residual_tol=-1.0), "residual_tol"),
