@@ -69,9 +69,12 @@ about 0 spread, against 0.0008 and 8.4.
 
 Replicates run in lockstep: a block of them advances one jump per step in
 NumPy arrays, and those that die or reach the event cap leave the live set.
-Once fewer than a handful are left, a scalar loop finishes each one with the
+Once fewer than ``_TAIL`` are left, a scalar loop finishes each one with the
 same float expressions, because per-step array overhead would otherwise
-dominate small estimates.  Every simulation runs both root types in one
+dominate small estimates.  The loop takes its uniforms from batches of
+``_TAIL_DRAWS`` per replicate, made by the lockstep step's vectorised hash
+for all the remaining replicates at once, and makes a replicate's next batch
+when it has used one up.  Every simulation runs both root types in one
 pass, since both rows of the matrix come from the same component law: their
 replicates share blocks, each starting from (1, 0) or (0, 1) under the same
 rates, so a small estimate pays that overhead once rather than once per
@@ -81,20 +84,22 @@ splitmix64 sequence seeded with a key hashed from (seed, root type, i),
 draw ``j`` being the hash of the key plus ``j+1`` golden-ratio increments
 (a counter-based stream, computed in wrapping uint64).  Every replicate can
 therefore be recomputed alone, and every estimate is bit-identical for any
-worker count and any split of the work.
+worker count and any split of the work.  For the same reason a sample
+extends: the records of replicate indices [0, a) followed by those of
+[a, b) are the records of [0, b), so :func:`combined_estimates` raises an
+estimate's replicate count by simulating only the indices it adds.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._util import (
-    _GOLDEN, _MASK64, _MIX1, _MIX2, _UNIT, Estimate, chunk_ranges, map_ordered, mix64,
-    mix64_array,
+    _GOLDEN, _MASK64, _UNIT, Estimate, chunk_ranges, map_ordered, mix64, mix64_array,
 )
 from .digital import (
     DivergentSeries,
@@ -110,7 +115,8 @@ from .params import Params
 EVENT_CAP = 10**7
 _BLOCK = 32768          # replicates per lockstep block: bounds the working set
 _CHUNK = 2 * _BLOCK     # replicates per task; more than one task uses processes
-_TAIL = 32              # live replicates below which the scalar loop is cheaper
+_TAIL = 64              # live replicates below which the scalar loop is cheaper
+_TAIL_DRAWS = 64        # draws made at once for a replicate of the scalar loop
 _MAX_CAPPED_FRACTION = 0.001
 # the controls' fit under-covers below these (see the module docstring):
 _CV_MIN_REPLICATES = 2000     # replicates per root type, for any control
@@ -202,23 +208,42 @@ class ComponentSamples:
                  + self.k_stop + self.l_stop - self.diagnosed)
         return twice // 2
 
+    def extended(self, more: ComponentSamples) -> ComponentSamples:
+        """These records followed by ``more``, the records of the replicate
+        indices after them."""
+        return ComponentSamples(*(np.concatenate((getattr(self, f.name), getattr(more, f.name)),
+                                                 axis=1) for f in fields(self)))
 
-def _finish(key, ae, ne, s1, ev, k, l, jumps, cap, rates):
+
+def _draws(keys, done: int, count: int) -> list:
+    """Uniforms ``done + 1`` .. ``done + count`` of each stream keyed in the
+    uint64 array ``keys``, as one list of floats per key: the draws of the
+    lockstep step, made for a batch of jumps at once."""
+    steps = np.arange(done + 1, done + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    u = mix64_array(keys[:, None] + steps) >> 11
+    return (u * _UNIT).tolist()
+
+
+def _finish(key, ae, ne, s1, ev, k, l, jumps, cap, rates, draws):
     """Run one replicate from state (k, l) after ``jumps`` jumps to its end.
 
     The scalar twin of the lockstep step in :func:`_run_block`: the same
-    draw and the same float expressions, so the outputs are bit-identical.
-    Returns (jumps, app exposure, non-app exposure, size-one exposure,
-    ever app, k and l at the stop, capped).
+    draws and the same float expressions, so the outputs are bit-identical.
+    ``draws`` holds the replicate's next uniforms (:func:`_draws`); once
+    they are used up the next ``_TAIL_DRAWS`` are made.  Returns (jumps, app
+    exposure, non-app exposure, size-one exposure, ever app, k and l at the
+    stop, capped).
     """
     grow_app_k, grow_app_l, gamma, grow_non, delta = rates
+    i, made = 0, len(draws)
     while k or l:
         if jumps >= cap:
             return jumps, ae, ne, s1, ev, k, l, True
-        z = (key + (jumps + 1) * _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        u = ((z ^ (z >> 31)) >> 11) * _UNIT
+        if i == made:
+            draws = _draws(np.array([key], dtype=np.uint64), jumps, _TAIL_DRAWS)[0]
+            i, made = 0, _TAIL_DRAWS
+        u = draws[i]
+        i += 1
         t1 = k * grow_app_k + l * grow_app_l
         t2 = t1 + k * gamma
         kl = k + l
@@ -295,8 +320,9 @@ def _run_block(keys, app_root, rates, cap, out) -> None:
             for row, values in zip(out[1:], state[:, dead]):
                 row[gone] = values
             idx, keys, state = idx[live], keys[live], state[:, live]
-    for i, (key, values) in enumerate(zip(keys.tolist(), state.T.tolist())):
-        record = _finish(key, *values, jumps, cap, rates)
+    draws = _draws(keys, jumps, _TAIL_DRAWS)
+    for i, (key, values, batch) in enumerate(zip(keys.tolist(), state.T.tolist(), draws)):
+        record = _finish(key, *values, jumps, cap, rates, batch)
         for row, value in zip(out, record):
             row[idx[i]] = value
 
@@ -334,18 +360,21 @@ def simulate_components(
     replicates: int,
     seed: int,
     workers: int = 1,
+    start: int = 0,
 ) -> ComponentSamples:
     """Simulate ``replicates`` independent components of each root type, all
-    in one pass.
+    in one pass: those of replicate indices ``start`` to ``start +
+    replicates - 1``.
 
     Each record is the replicate's jump count (``EVENT_CAP``, read at the
     call, if it hit the cap), its conditional-mean occupation integrals of
     k, l and 1{k+l = 1}, the number of app-users it ever held, the state
     (k, l) at which it stopped and whether it hit the cap.  A record depends
-    only on (seed, root type, index), never on what ran beside it.  Work is
-    split into fixed chunks of up to ``_CHUNK`` replicates of each root
-    type; with ``workers > 1`` and more than one chunk, chunks run in
-    processes.
+    only on (seed, root type, index), never on what ran beside it, so the
+    records of indices [0, a) extended by those of [a, b) are the records of
+    [0, b).  Work is split into fixed chunks of up to ``_CHUNK`` replicates
+    of each root type; with ``workers > 1`` and more than one chunk, chunks
+    run in processes.
 
     Raises DivergentSeries without simulating when delta = 0 and the
     component's own growth is supercritical: such components survive forever
@@ -360,8 +389,8 @@ def simulate_components(
         )
     beta, pi, p = params.beta, params.pi, params.p
     rates = (beta * pi, beta * pi * p, params.gamma, beta * (1.0 - pi) * p, params.delta)
-    tasks = [(rates, seed, start, count, EVENT_CAP)
-             for start, count in chunk_ranges(replicates, _CHUNK)]
+    tasks = [(rates, seed, start + first, count, EVENT_CAP)
+             for first, count in chunk_ranges(replicates, _CHUNK)]
     parts = map_ordered(_simulate_chunk, tasks, workers)
     return ComponentSamples(*(np.concatenate(pieces, axis=1) for pieces in zip(*parts)))
 
@@ -491,7 +520,12 @@ def estimate_offspring_matrix(
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    samples = simulate_components(params, replicates, seed, workers)
+    return _matrix_estimate(params, simulate_components(params, replicates, seed, workers))
+
+
+def _matrix_estimate(params: Params, samples: ComponentSamples) -> MatrixEstimate:
+    """:func:`estimate_offspring_matrix` from the records ``samples``."""
+    replicates = samples.jumps.shape[1]
     capped = samples.capped
     if capped > _MAX_CAPPED_FRACTION * 2 * replicates:
         raise EventCapExceeded(
@@ -553,9 +587,34 @@ def r_component_combined(
     replicates per root type up, the matrix elements and their errors are
     the control-variate adjusted ones (see the module docstring).
     """
-    est = estimate_offspring_matrix(params, replicates, seed, workers=workers)
+    return _radius_estimate(estimate_offspring_matrix(params, replicates, seed, workers))
+
+
+def _radius_estimate(est: MatrixEstimate) -> SpectralRadiusEstimate:
     return SpectralRadiusEstimate(spectral_radius_2x2(est.mean), _delta_method_se(est),
                                   matrix=est)
+
+
+def combined_estimates(params: Params, counts, seed: int, workers: int = 1):
+    """:func:`r_component_combined` at each of the increasing replicate
+    counts ``counts`` in turn, made as they are asked for.
+
+    Each estimate extends the records of the one before it by the replicate
+    indices it adds (:meth:`ComponentSamples.extended`), so it equals
+    ``r_component_combined(params, count, seed)`` bit for bit and simulates
+    only its new replicates.
+    """
+    samples = None
+    for count in counts:
+        if samples is None:
+            if count < 2:
+                raise ValueError("replicates must be >= 2")
+            samples = simulate_components(params, count, seed, workers)
+        else:
+            have = samples.jumps.shape[1]
+            samples = samples.extended(simulate_components(params, count - have, seed, workers,
+                                                           start=have))
+        yield _radius_estimate(_matrix_estimate(params, samples))
 
 
 @dataclass(frozen=True, kw_only=True)

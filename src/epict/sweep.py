@@ -3,20 +3,27 @@
 A sweep evaluates one of five reproduction-number targets over parameter
 axes.  Every evaluation is a value with a standard error: 0 for the
 closed-form digital and manual-only numbers and their independence product,
-its own for the Monte Carlo combined model.  One bisection serves both.  It
-takes a side only when value +- ``DECISION_Z`` (3) standard errors clears 1
-by more than the residual tolerance, so a closed-form target is solved to
-that tolerance, while a Monte Carlo target escalates the replicate count
-where that interval straddles 1 and stops once the bracket is narrower than
-the coordinate tolerance.  A solve evaluates each coordinate once.  Every
-reported interval, in a curve, heatmap or profile row, is the 95% interval
-value +- 1.96 standard errors of the evaluation behind it (its
-``interval()``, at ``_util.REPORT_Z``).
+its own for the Monte Carlo combined model.  On the edges of the (p, pi)
+square the combined model reduces to a closed form (the digital model at
+p = 0, the manual model at pi = 0, no offspring at p = 1 or pi = 1), which
+its evaluation reads with standard error 0; only inside the square is it
+simulated.  One bisection serves both kinds.  It takes a side only when
+value +- ``DECISION_Z`` (3) standard errors clears 1 by more than the
+residual tolerance, so a closed-form target is solved to that tolerance,
+while a Monte Carlo target escalates the replicate count where that
+interval straddles 1 and stops once the bracket is narrower than the
+coordinate tolerance.  An escalation extends the point's sample rather than
+redrawing it.  A solve evaluates each coordinate once.  Every reported
+interval, in a curve, heatmap or profile row, is the 95% interval value +-
+1.96 standard errors of the evaluation behind it (its ``interval()``, at
+``_util.REPORT_Z``).
 
 Monte Carlo settings (base replicates, seed, workers) come from the caller,
 not from the sweep spec.  Every Monte Carlo evaluation is seeded from the
-sweep seed and the exact float bit patterns of its coordinates, so any
-published cell or curve point can be recomputed bit-exactly in isolation.
+sweep seed and the exact float bit patterns of its coordinates, one seed
+for all of a curve point's replicate counts, so any published cell or curve
+point can be recomputed bit-exactly in isolation by
+:func:`~epict.component.r_component_combined` at its replicate count.
 
 Every entry point runs its specs through one evaluation pass
 (:func:`_evaluate`), which decides once per spec whether its target is
@@ -46,7 +53,9 @@ import numpy as np
 from ._util import Estimate, float_key, map_ordered, mix64
 # naive_combined_r is not called here (the product is evaluated through
 # _closed_form_target), but the benchmark's tracer patches this name
-from .component import naive_combined_r, r_component_combined
+from .component import (
+    combined_estimates, component_dies_out, naive_combined_r, r_component_combined,
+)
 from .digital import (
     DivergentSeries, independence_product, r_component_digital, r_individual_digital,
     r_manual,
@@ -198,23 +207,47 @@ def evaluate_target(
     *,
     mc: MCSettings | None = None,
     eval_seed: int = 0,
-    replicates: int | None = None,
 ) -> TargetEval:
     """One target evaluation; divergent means map to +inf (supercritical).
 
     A divergent expected cluster size means the cluster itself can grow
     without bound, so for threshold purposes the target is above 1.  A
-    closed-form value has standard error 0.
+    closed-form value has standard error 0, and so has R_DM on the edges of
+    the (p, pi) square (:func:`_exact_r_dm`).
     """
     mc = _mc_for(target, mc)
     try:
         if mc is None:
             return TargetEval(_closed_form_target(target, params))
-        reps = replicates if replicates is not None else mc.replicates
-        est = r_component_combined(params, reps, seed=eval_seed, workers=mc.workers)
+        exact = _exact_r_dm(params)
+        if exact is not None:
+            return TargetEval(exact)
+        est = r_component_combined(params, mc.replicates, seed=eval_seed, workers=mc.workers)
         return TargetEval(est.value, est.se)
     except DivergentSeries:
         return TargetEval(math.inf)
+
+
+def _exact_r_dm(params: Params) -> float | None:
+    """R_DM where it is known without simulation, None elsewhere.
+
+    It is +inf wherever a component can grow forever (delta = 0 and
+    supercritical growth), where the Monte Carlo estimator refuses to
+    simulate.  Otherwise, on the edges of the (p, pi) square the combined
+    model reduces to a closed form: the digital model at p = 0
+    (:func:`r_component_digital`), the manual model at pi = 0
+    (:func:`r_manual`), and 0 at p = 1 or pi = 1, where no component has
+    offspring.  Those closed forms converge wherever components die out.
+    """
+    if not component_dies_out(params):
+        return math.inf
+    if params.p == 1.0 or params.pi == 1.0:
+        return 0.0
+    if params.p == 0.0:
+        return r_component_digital(params)
+    if params.pi == 0.0:
+        return r_manual(params)
+    return None
 
 
 def _closed_form_target(target: Target, params: Params | ParamArrays):
@@ -244,9 +277,26 @@ class CurvePoint:
     status: str = "ok"
 
 
-def _point_seed(mc_seed: int, abscissa: float | None, coordinate: float, level: int) -> int:
+def _point_seed(mc_seed: int, abscissa: float | None, coordinate: float) -> int:
+    """Seed of a bisection's Monte Carlo evaluations at one coordinate, at
+    every replicate count.  The trailing 0 is part of the key, so that
+    published curve points keep their seeds."""
     a_key = 0 if abscissa is None else float_key(abscissa)
-    return mix64(mc_seed, a_key, float_key(coordinate), level)
+    return mix64(mc_seed, a_key, float_key(coordinate), 0)
+
+
+def _r_dm_levels(params: Params, mc: MCSettings, seed: int):
+    """R_DM at ``mc.replicates`` times 4**level for level 0 to
+    ``MAX_ESCALATIONS``, made as they are asked for, each extending the
+    sample of the one before (:func:`combined_estimates`); one exact value
+    where :func:`_exact_r_dm` has one."""
+    exact = _exact_r_dm(params)
+    if exact is not None:
+        yield TargetEval(exact)
+        return
+    counts = [mc.replicates * 4**level for level in range(MAX_ESCALATIONS + 1)]
+    for est in combined_estimates(params, counts, seed, mc.workers):
+        yield TargetEval(est.value, est.se)
 
 
 def _side(ev: TargetEval, tol: float) -> int:
@@ -279,7 +329,13 @@ def find_critical(
     Carlo target uses ``tol = 0`` (the replicate count escalates 4x, up to
     ``MAX_ESCALATIONS`` times, while the interval straddles 1) and stops at
     a point whose interval straddles 1 at the last level, or at bracket
-    width ``coord_tol``, where it returns the midpoint.
+    width ``coord_tol``, where it returns the midpoint.  Every level at a
+    point draws from the point's one seed and extends the sample of the
+    level before, so level L is ``r_component_combined`` at ``mc.replicates
+    * 4**L`` replicates and that seed, bit for bit, and costs only the
+    replicates it adds.  On the edges of the (p, pi) square R_DM is exact
+    (:func:`_exact_r_dm`), so an end of a bracket in p or pi at 0 or 1 is
+    not simulated, and a point there needs no escalation.
 
     Each coordinate is evaluated once, the final midpoint with the same
     escalation as every other point.  The returned point reports that
@@ -303,16 +359,9 @@ def find_critical(
         params = with_param(fixed, solve_coordinate, x)
         if not sampled:
             return evaluate_target(target, params)
-        reps = mc.replicates
-        for level in range(MAX_ESCALATIONS + 1):
-            ev = evaluate_target(
-                target, params, mc=mc,
-                eval_seed=_point_seed(mc.seed, abscissa, x, level),
-                replicates=reps,
-            )
+        for ev in _r_dm_levels(params, mc, _point_seed(mc.seed, abscissa, x)):
             if _side(ev, tol):
                 break
-            reps *= 4
         return ev
 
     made = {}

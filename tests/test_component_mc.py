@@ -410,6 +410,63 @@ def test_replicate_streams_keyed_by_index(table2_params):
     assert len(keys) == 3
 
 
+@pytest.mark.parametrize("chunk", [_CHUNK, 64], ids=["one-chunk", "chunks-of-64"])
+def test_records_extend_from_any_start(table2_params, monkeypatch, chunk):
+    # indices [0, 50) and then [50, 200) are the 200 records of one call,
+    # field by field, also where the later range's chunks start mid-way
+    monkeypatch.setattr(component, "_CHUNK", chunk)
+    fresh = simulate_components(table2_params, 200, seed=41)
+    head = simulate_components(table2_params, 50, seed=41)
+    rest = simulate_components(table2_params, 150, seed=41, start=50)
+    both = head.extended(rest)
+    for field in FIELDS:
+        assert np.array_equal(getattr(rest, field), getattr(fresh, field)[:, 50:]), field
+        assert np.array_equal(getattr(both, field), getattr(fresh, field)), field
+        assert getattr(both, field).dtype == getattr(fresh, field).dtype
+
+
+def test_combined_estimates_extend_one_sample(table2_params, monkeypatch):
+    # each estimate is the fresh one at its replicate count, bit for bit,
+    # and simulates only the replicates it adds
+    counts = [50, 200, 800, 3200]
+    fresh = [r_component_combined(table2_params, n, seed=43) for n in counts]
+    calls = []
+    original = component.simulate_components
+
+    def spy(params, replicates, seed, workers=1, start=0):
+        calls.append((replicates, start))
+        return original(params, replicates, seed, workers, start)
+
+    monkeypatch.setattr(component, "simulate_components", spy)
+    extended = list(component.combined_estimates(table2_params, counts, seed=43))
+    assert [(e.value, e.se, e.matrix) for e in extended] == \
+        [(e.value, e.se, e.matrix) for e in fresh]
+    assert calls == [(50, 0), (150, 50), (600, 200), (2400, 800)]
+
+
+def test_tail_replicate_outlives_its_first_batch_of_draws():
+    # 12 replicates of each root type start below _TAIL, so all of them run
+    # in the scalar tail from their first jump; the longest use several
+    # batches of draws and must still be the replicates simulated alone
+    params = Params(6 / 7, 1 / 7, 0.01, 0.5, 0.5, 1)
+    assert 2 * 12 < component._TAIL
+    samples = simulate_components(params, 12, seed=1)
+    assert samples.jumps.max() > 2 * component._TAIL_DRAWS
+    assert_rows_match_scalar(samples, scalar_rows(params, 12, 1))
+
+
+def test_tail_replicate_stops_at_the_cap_after_a_refill(monkeypatch):
+    # app-rooted components at pi = 1 grow at rate 2 against 1/7 + 1e-4 and
+    # reach a cap that lies inside their second batch of draws
+    params = Params(2.0, 1 / 7, 1e-4, 1.0, 0.0, 1)
+    cap = component._TAIL_DRAWS + 37
+    monkeypatch.setattr(component, "EVENT_CAP", cap)
+    samples = simulate_components(params, 10, seed=1)
+    assert samples.capped > 0
+    assert set(samples.jumps[samples.hit_cap].tolist()) == {cap}
+    assert_rows_match_scalar(samples, scalar_rows(params, 10, 1, cap))
+
+
 def percentile_bootstrap(rows, resamples=1000, blocks=1000, seed=0):
     """95% percentile interval of the spectral radius by a block bootstrap.
 

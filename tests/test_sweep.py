@@ -146,7 +146,7 @@ def test_pi_prescan_reuses_its_evaluations(monkeypatch):
 
 
 def test_find_critical_mc_smoke():
-    fixed = FIG  # pi=0: manual-only model
+    fixed = FIG  # pi=0: the manual-only model, whose R_DM is r_manual exactly
     mc = MCSettings(replicates=8_000, seed=77, workers=WORKERS)
     point = find_critical(
         Target.R_DM, "p", (0.0, 1.0), with_param(fixed, "testing_fraction", 0.5),
@@ -160,10 +160,10 @@ def test_find_critical_mc_smoke():
 
 
 @pytest.mark.parametrize("p", [0.3, 0.6])
-def test_manual_mc_bisection_lands_on_closed_form_root(p):
-    # R_DM at pi = 0 is the manual-only model: its Monte Carlo bisection must
-    # land within its own slack (bracket plus the reported CI mapped through
-    # the curve's slope) of the closed-form R_M root
+def test_manual_edge_bisection_lands_on_closed_form_root(p):
+    # R_DM at pi = 0 is the manual-only model, evaluated exactly: its
+    # bisection, which stops at bracket width coord_tol, must end within
+    # half of it of the closed-form R_M root, with a zero-width interval
     fixed = with_param(FIG, "p", p)
     exact = find_critical(Target.R_M, "testing_fraction", (0.0, FMAX), fixed, tol=1e-10)
     mc = MCSettings(replicates=4_000, seed=19, workers=WORKERS)
@@ -171,15 +171,10 @@ def test_manual_mc_bisection_lands_on_closed_form_root(p):
     point = find_critical(
         Target.R_DM, "testing_fraction", (0.0, FMAX), fixed, coord_tol=coord_tol, mc=mc
     )
-    f = exact.critical_value
-
-    def r_m(x):
-        return r_manual(with_param(fixed, "testing_fraction", x))
-
-    slope = abs(r_m(f + 1e-4) - r_m(f - 1e-4)) / 2e-4
-    half_ci = 0.5 * (point.ci_high - point.ci_low)
-    assert half_ci > 0
-    assert abs(point.critical_value - f) <= coord_tol + half_ci / slope
+    assert abs(point.critical_value - exact.critical_value) <= coord_tol / 2
+    r_m = r_manual(with_param(fixed, "testing_fraction", point.critical_value))
+    assert point.ci_low == point.ci_high == r_m
+    assert point.residual == abs(r_m - 1.0)
     # the closed-form point carries a zero-width interval at its value
     assert exact.ci_low == exact.ci_high == pytest.approx(1.0, abs=1e-10)
 
@@ -187,21 +182,20 @@ def test_manual_mc_bisection_lands_on_closed_form_root(p):
 def test_mc_points_reproducible_from_coordinates():
     mc = MCSettings(replicates=5_000, seed=123, workers=WORKERS)
     params = with_param(with_param(FIG, "testing_fraction", 0.5), "p", 0.5)
-    from epict.sweep import _point_seed
+    params = with_param(params, "pi", 0.5)  # inside the (p, pi) square: Monte Carlo
 
-    a = evaluate_target(Target.R_DM, params, mc=mc,
-                        eval_seed=_point_seed(123, None, 0.5, 0))
-    b = evaluate_target(Target.R_DM, params, mc=mc,
-                        eval_seed=_point_seed(123, None, 0.5, 0))
-    assert a == b
+    a = evaluate_target(Target.R_DM, params, mc=mc, eval_seed=_point_seed(123, None, 0.5))
+    b = evaluate_target(Target.R_DM, params, mc=mc, eval_seed=_point_seed(123, None, 0.5))
+    assert a == b and a.se > 0
 
 
 def ladder_estimate(params, mc, abscissa, x):
     """The R_DM estimate at coordinate x that ends a bisection's escalation:
-    the first level whose value +- 3 se clears 1, else the last level."""
+    the first level whose value +- 3 se clears 1, else the last level.
+    Every level draws from the point's one seed."""
     for level in range(MAX_ESCALATIONS + 1):
         est = r_component_combined(params, mc.replicates * 4**level, workers=mc.workers,
-                                   seed=_point_seed(mc.seed, abscissa, x, level))
+                                   seed=_point_seed(mc.seed, abscissa, x))
         if abs(est.value - 1.0) > 3.0 * est.se:
             break
     return est
@@ -227,9 +221,16 @@ def test_reported_intervals_are_95_percent_of_the_estimate_there():
         assert_95(low, high, est)
     for p, pi, value, low, high, status in heatmap.rows:
         params = with_param(with_param(base, "p", p), "pi", pi)
-        est = r_component_combined(params, mc.replicates, seed=cell_seed(mc.seed, p, pi))
-        assert value == est.value and status == "ok"
-        if est.se:  # p = 1 or pi = 1 is exactly 0, and pi = p = 0 exactly R_0
+        assert status == "ok"
+        if p in (0.0, 1.0) or pi in (0.0, 1.0):
+            # the edges of the (p, pi) square are exact: R_D at p = 0, R_M
+            # at pi = 0, 0 at p = 1 or pi = 1
+            exact = (0.0 if p == 1.0 or pi == 1.0 else
+                     r_component_digital(params) if p == 0.0 else r_manual(params))
+            assert value == low == high == exact
+        else:
+            est = r_component_combined(params, mc.replicates, seed=cell_seed(mc.seed, p, pi))
+            assert value == est.value
             assert_95(low, high, est)
     # a bisection that ends at the midpoint of its last bracket, [0.675, 0.7875]
     mc = MCSettings(replicates=2_000, seed=5, workers=WORKERS)
@@ -674,6 +675,90 @@ def test_mc_target_divergent_without_diagnosis():
     assert TargetEval(1.0, 0.5).status == "ok" and TargetEval(-math.inf).status == "ok"
 
 
+# (pi, p) on each edge of the (p, pi) square
+EDGES = [(0.5, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 0.5)]
+EDGE_IDS = ["p=0", "pi=0", "p=1", "pi=1"]
+
+
+@pytest.mark.parametrize("fraction", [0.2, 0.5], ids=["fig5b-delta", "fig5a-delta"])
+@pytest.mark.parametrize("pi, p", EDGES, ids=EDGE_IDS)
+def test_r_dm_edges_are_exact_and_agree_with_monte_carlo(pi, p, fraction):
+    # on the edges the combined model is the digital model (p = 0), the
+    # manual model (pi = 0) or has no offspring (p = 1, pi = 1); the sweep
+    # reads that closed form, and the paper's estimator agrees with it
+    params = with_param(with_param(with_param(FIG, "testing_fraction", fraction), "pi", pi),
+                        "p", p)
+    assert params.delta > 0
+    want = (0.0 if p == 1.0 or pi == 1.0 else
+            r_component_digital(params) if p == 0.0 else r_manual(params))
+    mc = MCSettings(50, 3, 1)
+    for ev in (evaluate_target(Target.R_DM, params, mc=mc),
+               *heatmap_grid(SweepSpec(Target.R_DM, params, AxisSpec("p", p, p, 2),
+                                       second_axis=AxisSpec("pi", pi, pi, 2)), mc)[0]):
+        assert ev.se == 0.0 and ev.status == "ok"
+        assert abs(ev.value - want) <= 1e-12 * max(1.0, want)
+    est = r_component_combined(params, 4_000, seed=53, workers=WORKERS)
+    assert abs(est.value - want) <= 4 * est.se
+
+
+@pytest.mark.parametrize("pi, p", EDGES, ids=EDGE_IDS)
+def test_r_dm_edges_divergent_without_diagnosis(pi, p):
+    # delta = 0 with supercritical component growth: +inf on every edge, as
+    # inside the square, though R_M and R_D at p = 1 or pi = 1 are 0
+    params = Params(6 / 7, 1 / 7, 0.0, pi, p, 1)
+    assert not component_dies_out(params)
+    ev = evaluate_target(Target.R_DM, params, mc=MCSettings(100, 3, 1))
+    assert ev == TargetEval(math.inf) and ev.status == "divergent"
+    # along the edge, from the profile's pool task and from a bisection's ends
+    name, other = ("pi", pi) if p in (0.0, 1.0) else ("p", p)
+    spec = SweepSpec(Target.R_DM, params, AxisSpec(name, other, 0.9, 2))
+    assert [ev.status for _, ev in profile(spec, MCSettings(100, 3, 1))] == ["divergent"] * 2
+    with pytest.raises(NoRootInBracket, match=r"\+inf and \+inf"):
+        find_critical(Target.R_DM, name, (other, 0.9), params, mc=MCSettings(100, 3, 1))
+
+
+def test_bisection_ends_on_the_edges_are_not_simulated(monkeypatch):
+    # a bisection in p over [0, 1] reads both ends exactly and simulates
+    # only inside the square
+    seen = []
+    original = epict.sweep.combined_estimates
+
+    def spy(params, counts, seed, workers=1):
+        seen.append(params.p)
+        return original(params, counts, seed, workers)
+
+    monkeypatch.setattr(epict.sweep, "combined_estimates", spy)
+    fixed = with_param(with_param(FIG, "pi", 0.5), "testing_fraction", 0.5)
+    point = find_critical(Target.R_DM, "p", (0.0, 1.0), fixed, coord_tol=0.05,
+                          mc=MCSettings(200, 5, 1), abscissa=0.5)
+    assert point.status == "ok" and seen
+    assert all(0.0 < p < 1.0 for p in seen)
+
+
+def test_escalation_levels_extend_one_sample(monkeypatch):
+    # every level of a point's escalation draws from the point's one seed,
+    # equals a fresh estimate at its replicate count bit for bit, and
+    # simulates only the replicates it adds: 800 in all, not 1050
+    params = Params(6 / 7, 1 / 7, 1 / 28, 0.9, 0.765625, 1)
+    mc = MCSettings(50, 7, 1)
+    seed = _point_seed(mc.seed, 0.9, params.p)
+    simulated = []
+    original = epict.component.simulate_components
+
+    def spy(params, replicates, seed, workers=1, start=0):
+        simulated.append(replicates)
+        return original(params, replicates, seed, workers, start)
+
+    monkeypatch.setattr(epict.component, "simulate_components", spy)
+    levels = list(epict.sweep._r_dm_levels(params, mc, seed))
+    assert len(levels) == MAX_ESCALATIONS + 1
+    assert simulated == [50, 150, 600]
+    monkeypatch.setattr(epict.component, "simulate_components", original)
+    for level, ev in enumerate(levels):
+        est = r_component_combined(params, 50 * 4**level, seed=seed)
+        assert ev == TargetEval(est.value, est.se) and ev.se > 0
+
+
 def test_axis_validation():
     with pytest.raises(ValueError):
         AxisSpec("bogus", 0, 1, 5)
@@ -683,13 +768,15 @@ def test_axis_validation():
 
 # builtin_datasets("fig5b", seed=7, replicates=50, curve_points=2,
 # grid_points=3) and the curves of fig3a at curve_points=2, as the benchmark
-# calls them; the rows are those of the two-bisection sweep module this one
-# replaced, except the fig5b curve rows' intervals, which are 95%
+# calls them.  Eight of the nine heatmap cells lie on the edges of the
+# (p, pi) square and are exact (R_D at p = 0, R_M at pi = 0, 0 at p = 1 or
+# pi = 1); both curve points escalated, each level extending the sample of
+# the one before
 PINNED_FIG5B_HEATMAP = [
     [0.0, 0.0, 4.800000000000001, 4.800000000000001, 4.800000000000001, "ok"],
-    [0.0, 0.5, 6.580750002391424, 5.764136419380711, 7.397363585402137, "ok"],
+    [0.0, 0.5, 5.853883256180297, 5.853883256180297, 5.853883256180297, "ok"],
     [0.0, 1.0, 0.0, 0.0, 0.0, "ok"],
-    [0.5, 0.0, 8.92235294117647, 6.016266296869139, 11.828439585483801, "ok"],
+    [0.5, 0.0, 8.42442890089805, 8.42442890089805, 8.42442890089805, "ok"],
     [0.5, 0.5, 6.5715677658346205, 4.883727083452408, 8.259408448216833, "ok"],
     [0.5, 1.0, 0.0, 0.0, 0.0, "ok"],
     [1.0, 0.0, 0.0, 0.0, 0.0, "ok"],
@@ -697,8 +784,8 @@ PINNED_FIG5B_HEATMAP = [
     [1.0, 1.0, 0.0, 0.0, 0.0, "ok"],
 ]
 PINNED_FIG5B_CURVE = [
-    [0.1, 0.953125, 0.03871312688461226, 0.8926668390950541, 1.0299069071357214, "ok"],
-    [0.9, 0.765625, 0.025140241210016567, 0.9736906937482714, 1.0765897886717617, "ok"],
+    [0.1, 0.9453125, 0.03761605446155025, 0.9606142938804434, 1.1146178150426571, "ok"],
+    [0.9, 0.75, 0.04984049994526618, 0.9967102287218671, 1.1029707711686652, "ok"],
 ]
 PINNED_FIG3A_DIGITAL = [
     [0.1, 0.8320146236413469, 5.277909220779975e-10, 0.9999999994722091,
@@ -751,12 +838,14 @@ def spy_maps(monkeypatch):
 def test_mc_sweeps_fan_out_bit_identical_without_nested_maps(three_cpus, monkeypatch):
     # each cell or bisection is one task in one process: one pool, and a
     # task's own maps run in-process, so the rows cannot depend on the
-    # worker count
+    # worker count.  The cells lie inside the (p, pi) square, where R_DM is
+    # Monte Carlo
     fixed = with_param(FIG, "testing_fraction", 0.5)
     specs = [
-        (heatmap_grid, SweepSpec(Target.R_DM, fixed, AxisSpec("p", 0.0, 1.0, 2),
-                                 second_axis=AxisSpec("pi", 0.0, 1.0, 3))),
-        (profile, SweepSpec(Target.R_DM, fixed, AxisSpec("pi", 0.0, 0.5, 3))),
+        (heatmap_grid, SweepSpec(Target.R_DM, fixed, AxisSpec("p", 0.25, 0.75, 2),
+                                 second_axis=AxisSpec("pi", 0.25, 0.75, 3))),
+        (profile, SweepSpec(Target.R_DM, with_param(fixed, "p", 0.5),
+                            AxisSpec("pi", 0.25, 0.5, 3))),
         (critical_curve, SweepSpec(Target.R_DM, fixed, AxisSpec("pi", 0.1, 0.5, 2),
                                    solve=SolveSpec("p", 0.0, 1.0, coord_tol=0.05))),
     ]
@@ -776,6 +865,8 @@ def test_mc_sweeps_fan_out_bit_identical_without_nested_maps(three_cpus, monkeyp
     inner = [w for d, w in calls if d > 0]
     assert inner and set(inner) == {5000}
     assert three_cpus.maps == 3
+    assert all(ev.se > 0 for row in fanned[0] for ev in row)
+    assert all(ev.se > 0 for _, ev in fanned[1])
     assert [p.status for p in fanned[2]] == ["ok", "ok"]
 
 
